@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "milp/branch_and_bound.h"
 #include "milp/lu.h"
@@ -19,17 +18,12 @@
 #include "obs/bench_compare.h"
 #include "obs/build_info.h"
 #include "obs/json_writer.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace cgraf;
 using namespace cgraf::milp;
-
-// Set by main() from the CGRAF_TRACE env var; when tracing, each bench JSON
-// line carries the trace path so the trajectory links back to the profile.
-const char* g_trace_path = nullptr;
 
 // Provenance stamp on every CGRAF_BENCH_JSON line: schema version, git SHA,
 // compiler and host thread count, so standalone lines (outside a
@@ -69,7 +63,6 @@ void emit_lp_json(const char* name, long arg, const LpResult& r,
       .field("threads", 1L);
   append_stage_fields(w, r.stats);
   append_meta_fields(w);
-  if (g_trace_path != nullptr) w.field("trace", g_trace_path);
   w.end_object();
   std::printf("CGRAF_BENCH_JSON %s\n", w.str().c_str());
 }
@@ -85,7 +78,6 @@ void emit_mip_json(const char* name, long arg, const MipResult& r) {
       .field("threads", r.threads_used);
   append_stage_fields(w, r.lp_stats);
   append_meta_fields(w);
-  if (g_trace_path != nullptr) w.field("trace", g_trace_path);
   w.end_object();
   std::printf("CGRAF_BENCH_JSON %s\n", w.str().c_str());
 }
@@ -253,7 +245,6 @@ void BM_LpRhsRampProbes(benchmark::State& state) {
         .field("nodes", 0L)
         .field("threads", 1L);
     append_meta_fields(w);
-    if (g_trace_path != nullptr) w.field("trace", g_trace_path);
     w.end_object();
     std::printf("CGRAF_BENCH_JSON %s\n", w.str().c_str());
   }
@@ -339,7 +330,6 @@ void BM_LpChildResolve(benchmark::State& state) {
         .field("threads", 1L);
     append_stage_fields(w, stage);
     append_meta_fields(w);
-    if (g_trace_path != nullptr) w.field("trace", g_trace_path);
     w.end_object();
     std::printf("CGRAF_BENCH_JSON %s\n", w.str().c_str());
   }
@@ -389,24 +379,4 @@ BENCHMARK(BM_FtranBtran)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-// BENCHMARK_MAIN() expanded so tracing can wrap the runs: CGRAF_TRACE=<path>
-// records every solver span fired by the benchmark bodies.
-int main(int argc, char** argv) {
-  // Single-threaded main() before any worker starts; no setenv anywhere.
-  g_trace_path = std::getenv("CGRAF_TRACE");  // NOLINT(concurrency-mt-unsafe)
-  if (g_trace_path != nullptr && *g_trace_path == '\0') g_trace_path = nullptr;
-  if (g_trace_path != nullptr) obs::Tracer::global().enable();
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  if (g_trace_path != nullptr) {
-    obs::Tracer::global().disable();
-    std::string error;
-    if (!obs::Tracer::global().write_json(g_trace_path, &error))
-      std::fprintf(stderr, "failed to write trace: %s\n", error.c_str());
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -19,7 +19,6 @@
 #include "obs/bench_compare.h"
 #include "obs/build_info.h"
 #include "obs/json_writer.h"
-#include "obs/trace.h"
 #include "util/ascii.h"
 #include "util/clock.h"
 
@@ -196,12 +195,6 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // CGRAF_TRACE=<path>: record a Chrome trace of the whole sweep; each
-  // CGRAF_BENCH_JSON line then carries the trace path.
-  // Single-threaded main() before any worker starts; no setenv anywhere.
-  const char* trace_path = std::getenv("CGRAF_TRACE");  // NOLINT(concurrency-mt-unsafe)
-  if (trace_path != nullptr && *trace_path == '\0') trace_path = nullptr;
-  if (trace_path != nullptr) obs::Tracer::global().enable();
   double budget = 60.0;
   if (argc > 1) {
     char* end = nullptr;
@@ -308,15 +301,6 @@ int main(int argc, char** argv) {
         cold_total / std::max(1e-9, warm_total));
   }
 
-  if (trace_path != nullptr) {
-    obs::Tracer::global().disable();
-    std::string error;
-    if (!obs::Tracer::global().write_json(trace_path, &error)) {
-      std::fprintf(stderr, "failed to write trace: %s\n", error.c_str());
-      trace_path = nullptr;
-    }
-  }
-
   // One machine-readable line per instance for the BENCH_*.json trajectory.
   for (const Row& row : rows) {
     obs::JsonWriter w;
@@ -354,7 +338,6 @@ int main(int argc, char** argv) {
                        "}");
     w.field("schema_version", obs::kBenchJsonSchemaVersion);
     obs::append_build_info_fields(w);
-    if (trace_path != nullptr) w.field("trace", trace_path);
     w.end_object();
     std::printf("CGRAF_BENCH_JSON %s\n", w.str().c_str());
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/geometry.h"
@@ -560,9 +559,6 @@ LocalSearchResult local_search_remap(const RemapModelSpec& spec,
   }
 
   res.stats.seconds = now_seconds() - t_start;
-  obs::Metrics::global().counter("ls.searches").add(1);
-  obs::Metrics::global().counter("ls.moves_accepted")
-      .add(res.stats.moves_accepted);
   obs::Event(opts.events, "ls.search")
       .arg("restarts", res.stats.restarts_run)
       .arg("examined", res.stats.moves_examined)

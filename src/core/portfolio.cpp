@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/event_log.h"
-#include "obs/metrics.h"
 #include "util/clock.h"
 #include "util/sync.h"
 
@@ -104,17 +103,6 @@ PortfolioResult race_portfolio(ProbeSession& session, RemapModelSpec ls_spec,
   }
   res.seconds = now_seconds() - t_start;
 
-  obs::Metrics::global().counter("portfolio.races").add(1);
-  switch (res.winner) {
-    case PortfolioWinner::kExact:
-      obs::Metrics::global().counter("portfolio.exact_wins").add(1);
-      break;
-    case PortfolioWinner::kLocalSearch:
-      obs::Metrics::global().counter("portfolio.ls_wins").add(1);
-      break;
-    case PortfolioWinner::kNone:
-      break;
-  }
   obs::Event(opts.ls.events, "portfolio.result")
       .arg("winner", to_string(res.winner))
       .arg("st_target", st_target)

@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "verify/certify.h"
@@ -58,7 +56,6 @@ const RemapModel* ProbeSession::model_at(double target) {
 }
 
 TwoStepResult ProbeSession::solve_lp_probe() {
-  obs::Span span("probe_session.lp");
   TwoStepResult res;
   res.stats.vars_total = rm_.num_binary_vars;
   if (engine_ == nullptr) {
@@ -91,10 +88,6 @@ TwoStepResult ProbeSession::solve_lp_probe() {
   res.stats.lp_algorithm = solver_.lp.algorithm;
   res.stats.lp_stage.add(lp.stats);
   res.basis = lp.basis;
-  span.arg("status", milp::to_string(lp.status))
-      .arg("iterations", lp.iterations)
-      .arg("warm", res.stats.warm_start_used)
-      .arg("dual", lp.dual_used);
   if (lp.status != milp::SolveStatus::kOptimal) {
     res.status = lp.status == milp::SolveStatus::kUnbounded
                      ? milp::SolveStatus::kNumericalError
@@ -110,7 +103,6 @@ TwoStepResult ProbeSession::solve_lp_probe() {
     if (cert.ok) {
       res.certified = true;
     } else {
-      obs::Metrics::global().counter("verify.solution_rejections").add(1);
       res.certified = false;
       res.certify_error = cert.summary();
       res.status = milp::SolveStatus::kNumericalError;
@@ -127,6 +119,7 @@ TwoStepResult ProbeSession::solve(double st_target) {
   const ProbeSessionStats before = stats_;
   const double t0 = now_seconds();
   const char* mode = "two_step";
+  bool lp_gate = false;  // the verdict came from solve_lp_probe's own gate
 
   TwoStepResult res = [&]() -> TwoStepResult {
     if (!warm_) {
@@ -148,6 +141,7 @@ TwoStepResult ProbeSession::solve(double st_target) {
     }
     if (solver_.lp_only) {
       mode = "lp";
+      lp_gate = true;
       return solve_lp_probe();
     }
 
@@ -176,7 +170,10 @@ TwoStepResult ProbeSession::solve(double st_target) {
         .arg("dual", stats_.dual_solves > before.dual_solves)
         .arg("lp_iterations",
              res.stats.lp_iterations + res.stats.mip_lp_iterations)
-        .arg("seconds", now_seconds() - t0);
+        .arg("seconds", now_seconds() - t0)
+        // A rejection inside solve_two_step is on that call's twostep.solve
+        // record already; counting it here too would count it twice.
+        .arg("certify_rejected", lp_gate && !res.certify_error.empty());
   }
   return res;
 }

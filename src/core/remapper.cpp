@@ -6,9 +6,7 @@
 #include "core/portfolio.h"
 #include "core/probe_session.h"
 #include "obs/event_log.h"
-#include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
 #include "util/ascii.h"
 #include "util/check.h"
 #include "util/clock.h"
@@ -19,10 +17,6 @@ namespace cgraf::core {
 RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
                               const RemapOptions& opts) {
   const double t_start = now_seconds();
-  obs::Span remap_span("remap");
-  remap_span.arg("ops", design.num_ops())
-      .arg("contexts", design.num_contexts)
-      .arg("pes", design.fabric.num_pes());
   obs::EventLog* const events = opts.solver.events != nullptr
                                     ? opts.solver.events
                                     : opts.solver.lp.events;
@@ -142,11 +136,18 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     res.probe_basis_fallbacks += ps.basis_fallbacks;
     res.probe_model_rebuilds += ps.model_rebuilds;
   };
-  auto emit_probe_counters = [&] {
-    obs::Metrics::global().counter("remap.warm_hits")
-        .add(res.probe_warm_hits);
-    obs::Metrics::global().counter("remap.basis_fallbacks")
-        .add(res.probe_basis_fallbacks);
+  auto emit_end = [&] {
+    obs::Event ev(events, "remap.end");
+    if (ev.active()) {
+      ev.arg("improved", res.improved)
+          .arg("st_target_final", res.st_target_final)
+          .arg("attempts", res.outer_iterations)
+          .arg("warm_hits", res.probe_warm_hits)
+          .arg("basis_fallbacks", res.probe_basis_fallbacks)
+          .arg("mttf_gain", res.mttf_gain)
+          .arg("certify_rejections", res.certify_rejections)
+          .arg("seconds", res.seconds);
+    }
   };
 
   // --- Step 1: delay-unaware stress-target lower bound.
@@ -169,8 +170,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
                                       : 1;
   for (int round = 0; round < rotation_rounds; ++round) {
     ++res.rotation_attempts;
-    obs::Span round_span("remap.rotation");
-    round_span.arg("round", round);
     Floorplan base = baseline;
     if (opts.mode == RemapMode::kRotate) {
       RotationOptions ropts;
@@ -217,7 +216,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
 
     double st_target = std::max(res.st_target_initial, 1e-12);
     if (opts.lp_presearch) {
-      obs::Span presearch_span("remap.presearch");
       TwoStepOptions probe_opts = opts.solver;
       probe_opts.lp_only = true;
       // Smallest LP-feasible target (with path constraints) for a given
@@ -270,7 +268,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
               opts.verbose, "  [remap] identity geometry wins presearch");
         }
       }
-      presearch_span.arg("st_target", st_target);
       obs::Progress::global().logf(
           opts.verbose, "  [remap] lp presearch -> st_target=%.4f", st_target);
     }
@@ -313,11 +310,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     auto attempt = [&](double target, Floorplan& out, double& out_cpd) {
       ++res.outer_iterations;
       res.st_target_final = target;
-      // One span per Delta-relaxation attempt: the probed target plus the
-      // solver verdict and the post-hoc STA check.
-      obs::Span attempt_span("remap.attempt");
-      attempt_span.arg("st_target", target).arg("iter", res.outer_iterations);
-      obs::Metrics::global().counter("remap.attempts").add(1);
       const double t_iter = now_seconds();
 
       // Strategy dispatch: exact MILP, local search, or the race of both.
@@ -395,9 +387,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
               fspec, solved_fp, opts.verify.tol);
           if (!cert.ok) {
             ++res.certify_rejections;
-            obs::Metrics::global()
-                .counter("verify.floorplan_rejections")
-                .add(1);
             obs::Progress::global().logf(
                 opts.verbose, "  [remap] certification rejected attempt: %s",
                 cert.summary().c_str());
@@ -411,9 +400,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
           out_cpd = sta1.cpd_ns;
         }
       }
-      attempt_span.arg("status", status_str)
-          .arg("cpd_ok", cpd_ok)
-          .arg("vars", vars);
       obs::Event(events, "remap.attempt")
           .arg("iter", res.outer_iterations)
           .arg("st_target", target)
@@ -455,7 +441,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       if (st_target >= scan_cap * (1.0 + 1e-9)) break;
       const double step = std::max(delta, (scan_cap - st_target) / 3.0);
       st_target = std::min(st_target + step, scan_cap * (1.0 + 1e-9));
-      obs::Metrics::global().counter("remap.relaxations").add(1);
     }
 
     if (found_at >= 0.0) {
@@ -507,21 +492,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       res.mttf_gain =
           res.mttf_after.mttf_seconds / res.mttf_before.mttf_seconds;
       res.seconds = now_seconds() - t_start;
-      obs::Metrics::global().gauge("remap.st_target_final")
-          .set(res.st_target_final);
-      obs::Metrics::global().gauge("remap.mttf_gain").set(res.mttf_gain);
-      emit_probe_counters();
-      remap_span.arg("improved", res.improved)
-          .arg("st_target_final", res.st_target_final)
-          .arg("attempts", res.outer_iterations)
-          .arg("warm_hits", static_cast<long>(res.probe_warm_hits));
-      obs::Event(events, "remap.end")
-          .arg("improved", res.improved)
-          .arg("st_target_final", res.st_target_final)
-          .arg("attempts", res.outer_iterations)
-          .arg("warm_hits", res.probe_warm_hits)
-          .arg("basis_fallbacks", res.probe_basis_fallbacks)
-          .arg("seconds", res.seconds);
+      emit_end();
       return res;
     }
     fold_session(attempt_session.stats());
@@ -536,17 +507,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
   res.mttf_gain = 1.0;
   res.note = "no improving floorplan found; baseline kept";
   res.seconds = now_seconds() - t_start;
-  emit_probe_counters();
-  remap_span.arg("improved", false)
-      .arg("attempts", res.outer_iterations)
-      .arg("warm_hits", static_cast<long>(res.probe_warm_hits));
-  obs::Event(events, "remap.end")
-      .arg("improved", false)
-      .arg("st_target_final", res.st_target_final)
-      .arg("attempts", res.outer_iterations)
-      .arg("warm_hits", res.probe_warm_hits)
-      .arg("basis_fallbacks", res.probe_basis_fallbacks)
-      .arg("seconds", res.seconds);
+  emit_end();
   return res;
 }
 

@@ -5,8 +5,6 @@
 #include "cgrra/stress.h"
 #include "core/probe_session.h"
 #include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "verify/input_lint.h"
@@ -15,7 +13,7 @@ namespace cgraf::core {
 
 StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
                               const StTargetOptions& opts) {
-  obs::Span search_span("st_target.search");
+  const double t_start = now_seconds();
   obs::EventLog* const events = opts.solver.events != nullptr
                                     ? opts.solver.events
                                     : opts.solver.lp.events;
@@ -75,10 +73,6 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
   ProbeSession session(std::move(spec), solver, opts.warm_probes);
 
   auto feasible = [&](double target) {
-    // One span per binary-search probe, annotated with the probed target
-    // and whether the (LP or ILP) feasibility oracle accepted it.
-    obs::Span probe_span("st_target.probe");
-    probe_span.arg("st_target", target);
     const double t_probe = now_seconds();
     const TwoStepResult r = session.solve(target);
     ++res.probes;
@@ -95,12 +89,9 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
           verify::certify_floorplan(fspec, r.floorplan, solver.verify.tol);
       if (!cert.ok) {
         ++res.certify_failures;
-        obs::Metrics::global().counter("verify.floorplan_rejections").add(1);
         ok = false;
       }
     }
-    probe_span.arg("feasible", ok).arg("warm", r.stats.warm_start_used);
-    obs::Metrics::global().counter("st_target.probes").add(1);
     const double probe_seconds = now_seconds() - t_probe;
     obs::Event(events, "st.probe")
         .arg("target", target)
@@ -116,30 +107,16 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
     res.basis_fallbacks = ps.basis_fallbacks;
     res.model_rebuilds = ps.model_rebuilds;
     res.dual_solves = ps.dual_solves;
-    obs::Metrics::global().counter("st_target.warm_hits").add(ps.warm_hits);
-    obs::Metrics::global()
-        .counter("st_target.basis_fallbacks")
-        .add(ps.basis_fallbacks);
-    obs::Metrics::global().counter("st_target.dual_solves").add(ps.dual_solves);
-    obs::Metrics::global()
-        .counter("st_target.dual_iterations")
-        .add(res.lp_stage.dual_iterations);
-    obs::Metrics::global()
-        .counter("st_target.bound_flips")
-        .add(res.lp_stage.bound_flips);
-    search_span.arg("st_target", res.st_target)
-        .arg("st_low", res.st_low)
-        .arg("st_up", res.st_up)
-        .arg("probes", static_cast<long>(res.probes))
-        .arg("warm_hits", static_cast<long>(ps.warm_hits))
-        .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
-        .arg("dual_solves", static_cast<long>(ps.dual_solves));
-    obs::Event(events, "st.search_end")
-        .arg("st_target", res.st_target)
-        .arg("probes", static_cast<long>(res.probes))
-        .arg("warm_hits", static_cast<long>(ps.warm_hits))
-        .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
-        .arg("lp_iterations", res.lp_iterations);
+    obs::Event ev(events, "st.search_end");
+    if (ev.active()) {
+      ev.arg("st_target", res.st_target)
+          .arg("probes", static_cast<long>(res.probes))
+          .arg("warm_hits", static_cast<long>(ps.warm_hits))
+          .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
+          .arg("lp_iterations", res.lp_iterations)
+          .arg("certify_failures", static_cast<long>(res.certify_failures))
+          .arg("seconds", now_seconds() - t_start);
+    }
   };
 
   double lo = res.st_low;

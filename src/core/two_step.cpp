@@ -5,9 +5,8 @@
 #include "core/strategy.h"
 #include "milp/simplex.h"
 #include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/rng.h"
 #include "verify/certify.h"
 
@@ -22,15 +21,12 @@ bool certify_accept(const RemapModel& rm, const std::vector<double>& x,
                     const TwoStepOptions& opts, bool relaxed,
                     TwoStepResult& res) {
   if (!opts.verify.enabled) return true;
-  obs::Span span("two_step.certify");
   const verify::Certificate cert =
       verify::certify_solution(rm.model, x, opts.verify.tol, relaxed);
-  span.arg("ok", cert.ok);
   if (cert.ok) {
     res.certified = true;
     return true;
   }
-  obs::Metrics::global().counter("verify.solution_rejections").add(1);
   res.certified = false;
   res.certify_error = cert.summary();
   res.status = milp::SolveStatus::kNumericalError;
@@ -68,9 +64,7 @@ int randomized_fix(const RemapModel& rm, const std::vector<double>& lp_x,
 // Runs branch & bound on `model` and folds its result into `res`.
 void run_bnb(const milp::Model& model, const RemapModel& rm,
              const TwoStepOptions& opts, TwoStepResult& res) {
-  obs::Span span("two_step.residual_ilp");
   const milp::MipResult mip = milp::solve_milp(model, opts.mip);
-  span.arg("status", milp::to_string(mip.status)).arg("nodes", mip.nodes);
   res.stats.mip_status = mip.status;
   res.stats.mip_nodes += mip.nodes;
   res.stats.mip_lp_iterations += mip.lp_iterations;
@@ -93,17 +87,6 @@ void run_bnb(const milp::Model& model, const RemapModel& rm,
 // when it dead-ended and the caller wants the B&B fallback.
 bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
                     TwoStepResult& res) {
-  obs::Span span("two_step.dive");
-  const auto finish_span = [&](bool definitive) {
-    span.arg("status", milp::to_string(res.status))
-        .arg("rounds", static_cast<long>(res.stats.dive_rounds))
-        .arg("vars_fixed", static_cast<long>(res.stats.vars_fixed))
-        .arg("definitive", definitive);
-    obs::Metrics::global()
-        .histogram("two_step.dive_rounds",
-                   {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0})
-        .observe(static_cast<double>(res.stats.dive_rounds));
-  };
   milp::Model relaxed = rm.model;
   for (int v = 0; v < relaxed.num_vars(); ++v) relaxed.relax_var(v);
   milp::SimplexEngine engine(relaxed, opts.lp);
@@ -141,7 +124,6 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
   while (true) {
     if (res.stats.dive_rounds >= max_rounds) {
       res.status = milp::SolveStatus::kIterLimit;
-      finish_span(!opts.bnb_fallback);
       return !opts.bnb_fallback;
     }
     if (opts.cancel != nullptr &&
@@ -149,7 +131,6 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
       // Cancelled solves are definitive: the caller is tearing the race
       // down, so the B&B fallback must not start a fresh search.
       res.status = milp::SolveStatus::kCancelled;
-      finish_span(true);
       return true;
     }
     lp = engine.solve(lb, ub, good_basis.empty() ? nullptr : &good_basis);
@@ -166,12 +147,10 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
       if (history.empty()) {
         if (bans == 0 && lp.status == milp::SolveStatus::kInfeasible) {
           res.status = milp::SolveStatus::kInfeasible;  // proven at the root
-          finish_span(true);
           return true;
         }
         // Bans over-constrained the root, or a solver limit fired.
         res.status = milp::SolveStatus::kNodeLimit;
-        finish_span(!opts.bnb_fallback);
         return !opts.bnb_fallback;
       }
       // Undo the most recent round; ban its variable when it was a forced
@@ -196,7 +175,6 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
       }
       if (bans > opts.dive_ban_budget) {
         res.status = milp::SolveStatus::kNodeLimit;  // give up, unproven
-        finish_span(!opts.bnb_fallback);
         return !opts.bnb_fallback;
       }
       continue;
@@ -254,7 +232,6 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
   res.status = milp::SolveStatus::kOptimal;
   res.floorplan = rm.decode(lp.x);
   certify_accept(rm, lp.x, opts, /*relaxed=*/false, res);
-  finish_span(true);
   return true;
 }
 
@@ -273,18 +250,11 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   if (opts.mip.cancel == nullptr) opts.mip.cancel = opts.cancel;
   if (opts.mip.lp.cancel == nullptr) opts.mip.lp.cancel = opts.cancel;
 
-  obs::Span solve_span("two_step.solve");
-  solve_span.arg("strategy", to_string(opts.strategy))
-      .arg("lp_only", opts.lp_only)
-      .arg("vars", rm.num_binary_vars);
-  obs::Metrics::global().counter("two_step.solves").add(1);
+  const double t_start = now_seconds();
   TwoStepResult res;
   res.stats.vars_total = rm.num_binary_vars;
   res.stats.lp_algorithm = opts.lp.algorithm;
   const auto finish = [&] {
-    solve_span.arg("status", milp::to_string(res.status));
-    if (res.stats.fallback_unfixed)
-      obs::Metrics::global().counter("two_step.unfixed_fallbacks").add(1);
     obs::Event ev(opts.events, "twostep.solve");
     if (ev.active()) {
       ev.arg("strategy", to_string(opts.strategy))
@@ -296,7 +266,9 @@ TwoStepResult solve_two_step(const RemapModel& rm,
           .arg("dive_rounds", res.stats.dive_rounds)
           .arg("vars_fixed", res.stats.vars_fixed)
           .arg("warm_start_used", res.stats.warm_start_used)
-          .arg("fallback_unfixed", res.stats.fallback_unfixed);
+          .arg("fallback_unfixed", res.stats.fallback_unfixed)
+          .arg("certify_rejected", !res.certify_error.empty())
+          .arg("seconds", now_seconds() - t_start);
     }
   };
   if (rm.trivially_infeasible) {
@@ -328,7 +300,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   // --- Step A: LP relaxation (lp_only, one-shot fixing, randomized).
   milp::LpResult lp;
   {
-    obs::Span lp_span("two_step.lp_relax");
     milp::Model relaxed = rm.model;
     for (int v = 0; v < relaxed.num_vars(); ++v) relaxed.relax_var(v);
     milp::SimplexEngine engine(relaxed, opts.lp);
@@ -336,9 +307,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
         opts.warm_basis != nullptr && !opts.warm_basis->empty();
     lp = engine.solve(have_warm ? opts.warm_basis : nullptr);
     res.stats.warm_start_used = have_warm && lp.warm_used;
-    lp_span.arg("status", milp::to_string(lp.status))
-        .arg("iterations", lp.iterations)
-        .arg("warm", res.stats.warm_start_used);
   }
   res.stats.lp_status = lp.status;
   res.stats.lp_iterations = lp.iterations;
@@ -364,20 +332,16 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   // --- Step B: pre-map (fix) variables once.
   milp::Model fixed_model = rm.model;
   int fixed = 0;
-  {
-    obs::Span fix_span("two_step.fix");
-    if (opts.strategy == RoundingStrategy::kThresholdFixOnce) {
-      for (int v = 0; v < rm.num_binary_vars; ++v) {
-        if (lp.x[static_cast<std::size_t>(v)] > opts.round_threshold) {
-          fixed_model.set_bounds(v, 1.0, 1.0);
-          ++fixed;
-        }
+  if (opts.strategy == RoundingStrategy::kThresholdFixOnce) {
+    for (int v = 0; v < rm.num_binary_vars; ++v) {
+      if (lp.x[static_cast<std::size_t>(v)] > opts.round_threshold) {
+        fixed_model.set_bounds(v, 1.0, 1.0);
+        ++fixed;
       }
-    } else {  // kRandomizedRound
-      Rng rng(opts.seed);
-      fixed = randomized_fix(rm, lp.x, fixed_model, rng);
     }
-    fix_span.arg("vars_fixed", fixed).arg("vars_total", rm.num_binary_vars);
+  } else {  // kRandomizedRound
+    Rng rng(opts.seed);
+    fixed = randomized_fix(rm, lp.x, fixed_model, rng);
   }
   res.stats.vars_fixed = fixed;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/trace.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -63,8 +62,6 @@ double cost(const ContextState& s, const Fabric& fabric,
 }  // namespace
 
 Floorplan place_baseline(const Design& design, const PlacerOptions& opts) {
-  obs::Span place_span("hls.place");
-  place_span.arg("ops", design.num_ops()).arg("contexts", design.num_contexts);
   const Fabric& fabric = design.fabric;
   Floorplan fp;
   fp.op_to_pe.assign(design.ops.size(), -1);
@@ -76,8 +73,6 @@ Floorplan place_baseline(const Design& design, const PlacerOptions& opts) {
     if (ops.empty()) continue;
     const int m = static_cast<int>(ops.size());
     CGRAF_ASSERT(m <= fabric.num_pes());
-    obs::Span ctx_span("hls.place_context");
-    ctx_span.arg("context", c).arg("ops", m);
 
     // Local index per global op id.
     std::vector<int> local(design.ops.size(), -1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
 #include "util/check.h"
 
 namespace cgraf::hls {
@@ -19,8 +18,6 @@ double node_delay(const Dfg& dfg, int u, const PeDelayModel& delays) {
 }  // namespace
 
 ScheduleResult list_schedule(const Dfg& dfg, const ScheduleOptions& opts) {
-  obs::Span span("hls.schedule");
-  span.arg("ops", dfg.num_nodes()).arg("contexts", opts.num_contexts);
   ScheduleResult res;
   if (opts.num_contexts <= 0 || opts.max_ops_per_context <= 0) {
     res.error = "invalid schedule options";
@@ -101,7 +98,6 @@ ScheduleResult list_schedule(const Dfg& dfg, const ScheduleOptions& opts) {
     return res;
   }
   res.ok = true;
-  span.arg("contexts_used", res.contexts_used);
   return res;
 }
 

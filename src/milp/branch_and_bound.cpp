@@ -9,9 +9,7 @@
 #include <thread>
 
 #include "obs/event_log.h"
-#include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/sync.h"
@@ -80,12 +78,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
   }();
 
   if (opts.presolve) {
-    PresolveResult pre = [&] {
-      obs::Span span("bnb.presolve");
-      PresolveResult p = presolve(model);
-      span.arg("status", to_string(p.status));
-      return p;
-    }();
+    PresolveResult pre = presolve(model);
     if (pre.status == SolveStatus::kInfeasible) {
       MipResult res;
       res.status = SolveStatus::kInfeasible;
@@ -137,10 +130,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     return r;
   }
 
-  obs::Span solve_span("bnb.solve");
-  solve_span.arg("vars", static_cast<long>(model.num_vars()))
-      .arg("rows", static_cast<long>(model.num_constraints()))
-      .arg("threads", static_cast<long>(threads));
   // Solve-event log: either plumbing route (MipOptions::events or
   // LpOptions::events) enables the whole record family.
   obs::EventLog* const events =
@@ -149,10 +138,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
       .arg("vars", static_cast<long>(model.num_vars()))
       .arg("rows", static_cast<long>(model.num_constraints()))
       .arg("threads", static_cast<long>(threads));
-  // One histogram handle per solve; workers observe lock-free.
-  obs::Histogram& lp_iter_hist = obs::Metrics::global().histogram(
-      "bnb.lp_iterations_per_node",
-      {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0});
 
   MipResult res;
   res.threads_used = threads;
@@ -232,7 +217,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     }
   }
   if (res.incumbent_seeded) {
-    obs::Metrics::global().counter("bnb.seeded_incumbents").add(1);
     obs::Event(events, "bnb.incumbent")
         .arg("seq", 0L)
         .arg("obj", sign * seed_internal)
@@ -253,13 +237,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
   };
 
   auto worker = [&](int tid) {
-    // One span per worker thread: each worker runs on its own OS thread,
-    // so the spans land on separate tracks (lanes) in the trace viewer.
-    obs::Tracer& tracer = obs::Tracer::global();
-    obs::Span worker_span(tracer, "bnb.worker");
-    if (worker_span.active() && tid > 0)
-      tracer.name_thread("bnb-worker-" + std::to_string(tid));
-
     SimplexEngine engine = proto;
     std::vector<double> lb, ub;
     std::vector<double> cand_x;
@@ -341,24 +318,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
       // Everything after the LP is cheap; classify the node and prepare any
       // incumbent candidate / children outside the lock, then fold in.
       const double node_bound = sign * lp.obj;
-      lp_iter_hist.observe(static_cast<double>(lp.iterations));
-      if ((node_seq & 63) == 1 && tracer.enabled()) {
-        // %g would print "inf"/"nan" (invalid JSON) for non-finite bounds
-        // (e.g. an infeasible or unbounded node LP); emit null instead,
-        // matching the JsonWriter policy.
-        char bound_buf[32];
-        if (std::isfinite(node_bound)) {
-          std::snprintf(bound_buf, sizeof bound_buf, "%.9g", node_bound);
-        } else {
-          std::snprintf(bound_buf, sizeof bound_buf, "null");
-        }
-        char buf[128];
-        std::snprintf(buf, sizeof buf,
-                      "\"seq\":%ld,\"depth\":%d,\"lp_iters\":%ld,"
-                      "\"bound\":%s",
-                      node_seq, node.depth, lp.iterations, bound_buf);
-        tracer.instant("bnb.node", buf);
-      }
       if ((node_seq & 255) == 0) {
         obs::Progress::global().tickf(
             "  [bnb] nodes=%ld depth=%d bound=%.6g incumbent=%s", node_seq,
@@ -498,7 +457,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
       sh.cv.notify_all();
     }
     sh.cv.notify_all();
-    worker_span.arg("tid", static_cast<long>(tid)).arg("nodes", my_nodes);
   };
 
   if (threads == 1) {
@@ -520,23 +478,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
   res.lp_iterations = sh.lp_iterations;
   res.lp_stats = sh.lp_stats;
 
-  {
-    obs::Metrics& m = obs::Metrics::global();
-    m.counter("bnb.solves").add(1);
-    m.counter("bnb.nodes").add(sh.nodes);
-    m.counter("bnb.lp_iterations").add(sh.lp_iterations);
-    m.counter("simplex.full_refreshes").add(sh.lp_stats.full_refreshes);
-    m.counter("simplex.bucket_rebuilds").add(sh.lp_stats.bucket_rebuilds);
-    m.counter("simplex.incremental_updates")
-        .add(sh.lp_stats.incremental_updates);
-    m.counter("simplex.dual_iterations").add(sh.lp_stats.dual_iterations);
-    m.counter("simplex.bound_flips").add(sh.lp_stats.bound_flips);
-    m.counter("simplex.refactorizations").add(sh.lp_stats.refactorizations);
-    m.counter("simplex.steepest_edge_resets")
-        .add(sh.lp_stats.steepest_edge_resets);
-    m.counter("simplex.dual_fallbacks").add(sh.lp_stats.dual_fallbacks);
-  }
-  solve_span.arg("nodes", sh.nodes).arg("lp_iterations", sh.lp_iterations);
   obs::Event(events, "bnb.end")
       .arg("nodes", sh.nodes)
       .arg("lp_iterations", sh.lp_iterations)

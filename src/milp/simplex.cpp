@@ -8,10 +8,6 @@
 #include "util/check.h"
 #include "util/clock.h"
 
-#ifdef CGRAF_OBS_DETAIL
-#include "obs/trace.h"
-#endif
-
 namespace cgraf::milp {
 
 const char* to_string(SolveStatus s) {
@@ -103,15 +99,6 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   const double t_start = now_seconds();
   const double tolf = opts_.tol_feas;
   const double told = opts_.tol_cost;
-
-#ifdef CGRAF_OBS_DETAIL
-  // Per-LP-solve span. solve() runs once per branch & bound node, so this
-  // is hot-loop territory: compiled out unless CGRAF_OBS_DETAIL is on.
-  obs::Span detail_span("simplex.solve");
-  detail_span.arg("cols", static_cast<long>(n_))
-      .arg("rows", static_cast<long>(m_))
-      .arg("warm", warm != nullptr);
-#endif
 
   Work w;
   w.n = n_;
@@ -327,11 +314,6 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   };
 
   auto finish = [&](SolveStatus st) {
-#ifdef CGRAF_OBS_DETAIL
-    detail_span.arg("status", to_string(st))
-        .arg("iterations", res.iterations)
-        .arg("phase1_iterations", res.stats.phase1_iterations);
-#endif
     res.status = st;
     res.seconds = now_seconds() - t_start;
     res.basis = w.status;

@@ -249,4 +249,15 @@ Event& Event::arg(const char* key, const std::string& v) {
   return *this;
 }
 
+void log_mutex_stats(EventLog* log) {
+  if (log == nullptr || !log->enabled()) return;
+  for (const auto& [name, s] : sync_mutex_stats()) {
+    Event(log, "sync.mutex")
+        .arg("name", name)
+        .arg("acquisitions", s.acquisitions)
+        .arg("contended", s.contended)
+        .arg("wait_seconds", s.wait_seconds);
+  }
+}
+
 }  // namespace cgraf::obs

@@ -1,8 +1,10 @@
 // Structured solve-event log: schema-versioned JSONL records emitted by the
 // solver pipeline (branch & bound nodes, simplex solves, ST_target probes,
-// remap attempts) for post-mortem analysis (obs/postmortem.h).
+// remap attempts). It is the one telemetry stream: post-mortem totals,
+// percentiles, lock contention and the Chrome trace view are all derived
+// from it (obs/postmortem.h).
 //
-// Design constraints, mirroring the tracer (obs/trace.h):
+// Design constraints:
 //   - Near-zero cost when disabled: Event's constructor is a relaxed atomic
 //     load and an early return — no allocation, no lock, no clock read
 //     (regression-tested in tests/obs/overhead_test.cpp).
@@ -18,7 +20,9 @@
 //
 // Record format: one JSON object per line. Every record carries
 //   {"type":"<kind>","t":<microseconds since open>,"tid":<small thread id>}
-// plus type-specific fields. The first record is always
+// plus type-specific fields. `t` stamps the record's end; a record that
+// times work carries its duration as `seconds`, so it spans
+// [t - 1e6 * seconds, t] on lane `tid`. The first record is always
 //   {"type":"log.header","schema":kEventLogSchemaVersion,...}
 // with build/host metadata (obs/build_info.h), so analyzers can hard-fail
 // on a schema they do not understand. The full event vocabulary is
@@ -150,5 +154,10 @@ class Event {
   const char* type_ = "";
   std::string args_;  // pre-rendered object-body fragment (no braces)
 };
+
+// Emits one sync.mutex record (name, acquisitions, contended, wait_seconds)
+// per annotated mutex name: the process-wide contention totals of
+// sync_mutex_stats() (util/sync.h). No-op when `log` is null or disabled.
+void log_mutex_stats(EventLog* log);
 
 }  // namespace cgraf::obs

@@ -1,6 +1,7 @@
 // Minimal streaming JSON emitter shared by every component that writes
-// machine-readable output (trace files, metrics dumps, CGRAF_BENCH_JSON
-// lines). Replaces the hand-rolled printf JSON that never escaped strings.
+// machine-readable output (event-log records, Chrome traces,
+// CGRAF_BENCH_JSON lines). Replaces the hand-rolled printf JSON that never
+// escaped strings.
 //
 // Usage:
 //   JsonWriter w;

@@ -1,7 +1,7 @@
 #include "obs/postmortem.h"
 
-#include <cstdio>
-#include <memory>
+#include <algorithm>
+#include <string_view>
 
 #include "obs/event_log.h"
 #include "obs/json_reader.h"
@@ -12,7 +12,61 @@ namespace cgraf::obs {
 
 namespace {
 
-void fold_record(const JsonValue& rec, PostmortemReport& r) {
+using ParseErrors = std::vector<std::pair<long, std::string>>;
+
+// The one line-splitting loop behind analyze_events and chrome_trace: calls
+// fn(line, rec) for every non-blank line that parses as a JSON object and
+// records the others in *errors (when non-null) by 1-based line number.
+// Returns whether the stream held any non-blank line.
+template <typename Fn>
+bool for_each_record(const std::string& jsonl, ParseErrors* errors,
+                     const Fn& fn) {
+  std::size_t pos = 0;
+  long line_no = 0;
+  bool any = false;
+  while (pos < jsonl.size()) {
+    std::size_t end = jsonl.find('\n', pos);
+    if (end == std::string::npos) end = jsonl.size();
+    ++line_no;
+    const std::string_view line(jsonl.data() + pos, end - pos);
+    pos = end + 1;
+    if (line.empty()) continue;
+    any = true;
+    JsonValue rec;
+    std::string perr;
+    if (!parse_json(line, &rec, &perr) || !rec.is_object()) {
+      if (errors != nullptr)
+        errors->emplace_back(line_no, perr.empty() ? "not an object" : perr);
+      continue;
+    }
+    fn(line, rec);
+  }
+  return any;
+}
+
+// Per-record samples behind the exact percentiles.
+struct Samples {
+  std::vector<long> node_lp_iters;
+  std::vector<long> dive_rounds;
+};
+
+PostmortemReport::Percentiles percentiles(std::vector<long>& v) {
+  PostmortemReport::Percentiles p;
+  p.count = static_cast<long>(v.size());
+  if (v.empty()) return p;
+  std::sort(v.begin(), v.end());
+  // Nearest rank: the smallest sample with at least pct% of them at or
+  // below it (integer arithmetic, so the rank is exact).
+  const auto rank = [&](std::size_t pct) {
+    return v[std::max<std::size_t>(1, (pct * v.size() + 99) / 100) - 1];
+  };
+  p.p50 = rank(50);
+  p.p90 = rank(90);
+  p.p99 = rank(99);
+  return p;
+}
+
+void fold_record(const JsonValue& rec, PostmortemReport& r, Samples& s) {
   const std::string type = rec.str_or("type", "");
   ++r.records_by_type[type];
   const double t_us = rec.num_or("t", 0.0);
@@ -45,6 +99,7 @@ void fold_record(const JsonValue& rec, PostmortemReport& r) {
     ++r.bnb_nodes;
     const long iters = rec.int_or("lp_iters", 0);
     r.bnb_node_lp_iters += iters;
+    s.node_lp_iters.push_back(iters);
     const int depth = static_cast<int>(rec.int_or("depth", 0));
     const std::string action = rec.str_or("action", "?");
     ++r.node_actions[action];
@@ -82,19 +137,25 @@ void fold_record(const JsonValue& rec, PostmortemReport& r) {
     if (p.fallback) ++r.probe_fallbacks;
     if (rec.bool_or("rebuild", false)) ++r.probe_rebuilds;
     if (rec.bool_or("patch", false)) ++r.probe_patches;
+    if (rec.bool_or("certify_rejected", false)) ++r.solution_rejections;
     r.probe_chain.push_back(std::move(p));
     return;
   }
   if (type == "st.search_end") {
     ++r.st_searches;
+    r.floorplan_rejections += rec.int_or("certify_failures", 0);
     return;
   }
   if (type == "twostep.solve") {
     ++r.twostep_solves;
+    if (rec.bool_or("certify_rejected", false)) ++r.solution_rejections;
+    const long rounds = rec.int_or("dive_rounds", 0);
+    if (rounds > 0) s.dive_rounds.push_back(rounds);
     return;
   }
   if (type == "remap.end") {
     ++r.remap_runs;
+    r.floorplan_rejections += rec.int_or("certify_rejections", 0);
     return;
   }
   if (type == "remap.attempt") {
@@ -117,6 +178,14 @@ void fold_record(const JsonValue& rec, PostmortemReport& r) {
     if (rec.bool_or("seeded", false)) ++r.portfolio_seeded;
     return;
   }
+  if (type == "sync.mutex") {
+    // Process-wide snapshots: a later record for a name supersedes it.
+    MutexStats& m = r.locks[rec.str_or("name", "?")];
+    m.acquisitions = rec.int_or("acquisitions", 0);
+    m.contended = rec.int_or("contended", 0);
+    m.wait_seconds = rec.num_or("wait_seconds", 0.0);
+    return;
+  }
   // st.search_begin / st.probe / remap.begin / bnb.end and unknown types:
   // counted in records_by_type only.
 }
@@ -131,34 +200,41 @@ std::string fmt_pct(long part, long whole) {
          "%";
 }
 
+void add_percentile_row(AsciiTable& t, const char* field,
+                        const PostmortemReport::Percentiles& p) {
+  if (p.count == 0) {
+    t.add_row({field, "0", "-", "-", "-"});
+    return;
+  }
+  t.add_row({field, fmt_long(p.count), fmt_long(p.p50), fmt_long(p.p90),
+             fmt_long(p.p99)});
+}
+
+void write_percentiles(JsonWriter& w, const char* field,
+                       const PostmortemReport::Percentiles& p) {
+  w.key(field)
+      .begin_object()
+      .field("count", p.count)
+      .field("p50", p.p50)
+      .field("p90", p.p90)
+      .field("p99", p.p99)
+      .end_object();
+}
+
 }  // namespace
 
 bool analyze_events(const std::string& jsonl, PostmortemReport* report,
                     std::string* error) {
   *report = PostmortemReport();
   PostmortemReport& r = *report;
-
-  std::size_t pos = 0;
-  long line_no = 0;
-  bool any = false;
-  while (pos < jsonl.size()) {
-    std::size_t end = jsonl.find('\n', pos);
-    if (end == std::string::npos) end = jsonl.size();
-    ++line_no;
-    const std::string_view line(jsonl.data() + pos, end - pos);
-    pos = end + 1;
-    if (line.empty()) continue;
-    any = true;
-    JsonValue rec;
-    std::string perr;
-    if (!parse_json(line, &rec, &perr) || !rec.is_object()) {
-      r.parse_errors.emplace_back(line_no,
-                                  perr.empty() ? "not an object" : perr);
-      continue;
-    }
-    ++r.total_records;
-    fold_record(rec, r);
-  }
+  Samples samples;
+  const bool any = for_each_record(
+      jsonl, &r.parse_errors, [&](std::string_view, const JsonValue& rec) {
+        ++r.total_records;
+        fold_record(rec, r, samples);
+      });
+  r.node_lp_iters = percentiles(samples.node_lp_iters);
+  r.dive_rounds = percentiles(samples.dive_rounds);
 
   if (!any) {
     if (error != nullptr) *error = "empty event stream";
@@ -175,21 +251,27 @@ bool analyze_events(const std::string& jsonl, PostmortemReport* report,
   return true;
 }
 
-bool analyze_events_file(const std::string& path, PostmortemReport* report,
-                         std::string* error) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open '" + path + "'";
-    return false;
-  }
-  std::string text;
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    text.append(buf, got);
-  }
-  return analyze_events(text, report, error);
+std::string chrome_trace(const std::string& jsonl) {
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
+  for_each_record(
+      jsonl, nullptr, [&](std::string_view line, const JsonValue& rec) {
+        const double t = rec.num_or("t", 0.0);
+        const JsonValue* seconds = rec.find("seconds");
+        w.begin_object()
+            .field("name", rec.str_or("type", "?"))
+            .field("pid", 1L)
+            .field("tid", rec.int_or("tid", 0));
+        if (seconds != nullptr && seconds->is_number()) {
+          const double dur = 1e6 * seconds->num;
+          w.field("ph", "X").field("ts", t - dur).field("dur", dur);
+        } else {
+          w.field("ph", "i").field("s", "t").field("ts", t);
+        }
+        w.key("args").raw(line).end_object();
+      });
+  w.end_array().field("displayTimeUnit", "ms").end_object();
+  return w.str();
 }
 
 std::string PostmortemReport::to_text() const {
@@ -291,11 +373,14 @@ std::string PostmortemReport::to_text() const {
   }
 
   if (remap_runs > 0 || remap_attempts > 0 || st_searches > 0 ||
-      ls_searches > 0 || portfolio_races > 0) {
+      twostep_solves > 0 || probes > 0 || ls_searches > 0 ||
+      portfolio_races > 0) {
     out += "--- pipeline ---\n";
     AsciiTable t({"metric", "count"});
     t.add_row({"st_target searches", fmt_long(st_searches)});
     t.add_row({"two-step solves", fmt_long(twostep_solves)});
+    t.add_row({"solution rejections", fmt_long(solution_rejections)});
+    t.add_row({"floorplan rejections", fmt_long(floorplan_rejections)});
     t.add_row({"remap runs", fmt_long(remap_runs)});
     t.add_row({"remap attempts",
                fmt_long(remap_attempts) + " (" +
@@ -313,6 +398,28 @@ std::string PostmortemReport::to_text() const {
                      fmt_long(portfolio_exact_wins) + " exact, " +
                      fmt_long(portfolio_ls_wins) + " ls, " +
                      fmt_long(portfolio_seeded) + " seeded)"});
+    }
+    out += t.render();
+    out += "\n";
+  }
+
+  if (node_lp_iters.count > 0 || dive_rounds.count > 0) {
+    out += "--- percentiles (exact) ---\n";
+    AsciiTable t({"record field", "count", "p50", "p90", "p99"});
+    add_percentile_row(t, "bnb.node lp_iters", node_lp_iters);
+    add_percentile_row(t, "twostep.solve dive_rounds", dive_rounds);
+    out += t.render();
+    out += "\n";
+  }
+
+  if (!locks.empty()) {
+    out += "--- locks (sync.mutex) ---\n";
+    AsciiTable t({"mutex", "acquisitions", "contended", "wait s"});
+    for (const auto& [name, m] : locks) {
+      t.add_row({name, fmt_long(m.acquisitions),
+                 fmt_long(m.contended) + " (" +
+                     fmt_pct(m.contended, m.acquisitions) + ")",
+                 fmt_double(m.wait_seconds, 6)});
     }
     out += t.render();
   }
@@ -414,6 +521,24 @@ std::string PostmortemReport::to_json() const {
   w.field("portfolio_exact_wins", portfolio_exact_wins);
   w.field("portfolio_ls_wins", portfolio_ls_wins);
   w.field("portfolio_seeded", portfolio_seeded);
+  w.field("solution_rejections", solution_rejections);
+  w.field("floorplan_rejections", floorplan_rejections);
+  w.end_object();
+
+  w.key("percentiles").begin_object();
+  write_percentiles(w, "bnb.node.lp_iters", node_lp_iters);
+  write_percentiles(w, "twostep.solve.dive_rounds", dive_rounds);
+  w.end_object();
+
+  w.key("locks").begin_object();
+  for (const auto& [name, m] : locks) {
+    w.key(name)
+        .begin_object()
+        .field("acquisitions", m.acquisitions)
+        .field("contended", m.contended)
+        .field("wait_seconds", m.wait_seconds)
+        .end_object();
+  }
   w.end_object();
 
   w.end_object();

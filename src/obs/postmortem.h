@@ -3,15 +3,19 @@
 // Reconstructs, from the JSONL event stream alone, what the solver pipeline
 // did: the branch & bound tree (per-depth node/LP-iteration breakdown,
 // action mix, pruning efficacy), the incumbent-improvement timeline, the
-// ST_target probe chain with warm-hit rates, and LP-iteration totals per
-// record family. The totals are exact — every LP solve and every counted
-// B&B node emits exactly one record — so `cgraf_cli analyze` can be
-// cross-checked against the in-process solver stats.
+// ST_target probe chain with warm-hit rates, LP-iteration totals per record
+// family, certificate rejections, exact percentiles and lock contention.
+// The totals are exact — every LP solve and every counted B&B node emits
+// exactly one record — so `cgraf_cli analyze` can be cross-checked against
+// the in-process solver stats. The same stream renders as a Chrome trace
+// (chrome_trace below).
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
+
+#include "util/sync.h"
 
 namespace cgraf::obs {
 
@@ -97,6 +101,25 @@ struct PostmortemReport {
   long portfolio_ls_wins = 0;
   long portfolio_seeded = 0;
 
+  // --- certificate gates ---------------------------------------------------
+  // Solver solutions rejected by certify_solution: twostep.solve and
+  // probe.solve `certify_rejected` flags (each gate sets only its own).
+  long solution_rejections = 0;
+  // Floorplans rejected by certify_floorplan: remap.end
+  // `certify_rejections` plus st.search_end `certify_failures`.
+  long floorplan_rejections = 0;
+
+  // --- exact percentiles (nearest rank) ------------------------------------
+  struct Percentiles {
+    long count = 0;
+    long p50 = 0, p90 = 0, p99 = 0;
+  };
+  Percentiles node_lp_iters;  // bnb.node lp_iters
+  Percentiles dive_rounds;    // twostep.solve dive_rounds of solves that dived
+
+  // --- sync.mutex: the latest snapshot per mutex name ----------------------
+  std::map<std::string, MutexStats> locks;
+
   // Lines that failed to parse (offset = 1-based line number).
   std::vector<std::pair<long, std::string>> parse_errors;
 
@@ -114,8 +137,12 @@ struct PostmortemReport {
 bool analyze_events(const std::string& jsonl, PostmortemReport* report,
                     std::string* error);
 
-// Convenience: reads `path` and analyzes it.
-bool analyze_events_file(const std::string& path, PostmortemReport* report,
-                         std::string* error);
+// Renders a JSONL event stream as a Chrome trace-event document
+// (chrome://tracing, Perfetto). A record is stamped at its end `t` (µs): one
+// carrying `seconds` becomes a complete ('X') span starting at
+// t - 1e6 * seconds, any other an instant ('i'). The record's `tid` is its
+// lane and the whole record its args. Unparseable lines are skipped (the
+// analyzer reports them).
+std::string chrome_trace(const std::string& jsonl);
 
 }  // namespace cgraf::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/trace.h"
 #include "util/check.h"
 
 namespace cgraf::thermal {
@@ -26,14 +25,10 @@ std::vector<double> steady_state_temperature(const Fabric& fabric,
   }
 
   // Gauss-Seidel on: (gv + sum_j gl) T_i - sum_j gl T_j = P_i + gv T_amb.
-  obs::Span span("thermal.steady_state");
-  span.arg("pes", n);
-  int iterations = 0;
   std::vector<double> temp(static_cast<std::size_t>(n), p.ambient_k);
   const int rows = fabric.rows();
   const int cols = fabric.cols();
   for (int iter = 0; iter < p.max_iterations; ++iter) {
-    ++iterations;
     double max_delta = 0.0;
     for (int i = 0; i < n; ++i) {
       const Point loc = fabric.loc(i);
@@ -59,7 +54,6 @@ std::vector<double> steady_state_temperature(const Fabric& fabric,
     }
     if (max_delta < p.tolerance_k) break;
   }
-  span.arg("iterations", iterations);
   return temp;
 }
 
@@ -73,8 +67,6 @@ std::vector<double> transient_temperature(const Fabric& fabric,
   CGRAF_ASSERT(static_cast<int>(activity.size()) == n);
   CGRAF_ASSERT(duration_s >= 0.0);
   CGRAF_ASSERT(t.capacitance_j_per_k > 0.0);
-  obs::Span span("thermal.transient");
-  span.arg("pes", n).arg("duration_s", duration_s);
 
   const double gv = 1.0 / p.vertical_resistance;
   // Explicit Euler stability: dt < C / (gv + 4 gl); clamp defensively.

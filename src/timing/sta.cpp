@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
 #include "util/check.h"
 
 namespace cgraf::timing {
@@ -33,7 +32,6 @@ CombGraph::CombGraph(const Design& d) : design(&d) {
 }
 
 StaResult run_sta(const CombGraph& graph, const Floorplan& fp) {
-  obs::Span span("timing.sta");
   const Design& d = *graph.design;
   const int n = d.num_ops();
   StaResult res;
@@ -55,7 +53,6 @@ StaResult run_sta(const CombGraph& graph, const Floorplan& fp) {
   }
   res.cpd_ns = 0.0;
   for (const double c : res.context_cpd_ns) res.cpd_ns = std::max(res.cpd_ns, c);
-  span.arg("ops", n).arg("cpd_ns", res.cpd_ns);
   return res;
 }
 

@@ -19,8 +19,9 @@
 //     cycle exists, not the unlucky run where it deadlocks.
 //   - Contention visibility. Each Mutex counts acquisitions, contended
 //     acquisitions (the uncontended try_lock fast path failed) and the
-//     seconds spent blocked; obs::export_sync_metrics() publishes the
-//     per-name aggregates through the metrics registry.
+//     seconds spent blocked; sync_mutex_stats() returns the per-name
+//     aggregates, which obs::log_mutex_stats() writes to the solve-event
+//     log as sync.mutex records.
 //
 // The lock hierarchy (see DESIGN.md "Concurrency model"): a thread may only
 // acquire mutexes in strictly increasing rank order. Ranks are spaced so
@@ -91,11 +92,6 @@ inline constexpr int kBnbShared = 10;
 inline constexpr int kPortfolio = 15;
 // obs: progress reporter output serialization.
 inline constexpr int kObsProgress = 20;
-// obs: tracer event buffer and thread-track table.
-inline constexpr int kObsTracer = 30;
-// obs: metrics registry maps. Metric registration happens under solver
-// locks, never the other way around.
-inline constexpr int kObsMetrics = 40;
 // obs: event-log buffer registry (the list of per-thread buffers).
 inline constexpr int kObsEventLog = 45;
 // obs: one per-thread event buffer. Acquired after the registry on the

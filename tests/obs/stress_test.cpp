@@ -1,19 +1,21 @@
-// TSan stress: hammer the metrics registry, the tracer and the progress
-// reporter from many threads at once, with concurrent readers. These run
-// under -fsanitize=thread in CI (the ObsStress ctest filter); the exact
-// count assertions double as lost-update checks under plain builds.
+// TSan stress: hammer the progress reporter from many threads at once,
+// emit records from many threads and export them as a Chrome trace, and
+// snapshot mutex contention into the event log while the mutex is busy.
+// These run under -fsanitize=thread in CI (the ObsStress ctest filter); the
+// exact count assertions double as lost-update checks under plain builds.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "obs/event_log.h"
+#include "obs/json_reader.h"
+#include "obs/postmortem.h"
 #include "obs/progress.h"
-#include "obs/sync_metrics.h"
-#include "obs/trace.h"
 #include "util/sync.h"
 
 namespace cgraf::obs {
@@ -21,65 +23,6 @@ namespace {
 
 constexpr int kThreads = 8;
 constexpr int kIters = 500;
-
-TEST(ObsStress, MetricsRegistryUnderThreads) {
-  Metrics m;
-  std::atomic<bool> stop_reader{false};
-  std::atomic<long> reader_bytes{0};  // keeps the reads observable
-  std::thread reader([&] {
-    while (!stop_reader.load(std::memory_order_relaxed))
-      reader_bytes.fetch_add(static_cast<long>(m.to_json().size()),
-                             std::memory_order_relaxed);
-  });
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&m, t] {
-      for (int i = 0; i < kIters; ++i) {
-        // Rotating names force concurrent registration, not just updates.
-        m.counter("stress.c" + std::to_string(i % 5)).add(1);
-        m.gauge("stress.g" + std::to_string(t)).set(i);
-        m.histogram("stress.h", {1.0, 10.0, 100.0}).observe(i);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  stop_reader.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  long total = 0;
-  for (int k = 0; k < 5; ++k)
-    total += m.counter("stress.c" + std::to_string(k)).value();
-  EXPECT_EQ(total, static_cast<long>(kThreads) * kIters);
-  EXPECT_EQ(m.histogram("stress.h", {}).count(),
-            static_cast<long>(kThreads) * kIters);
-  EXPECT_GT(reader_bytes.load(), 0);
-}
-
-TEST(ObsStress, TracerUnderThreads) {
-  Tracer tr;
-  tr.enable();
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&tr, t] {
-      tr.name_thread("stress-" + std::to_string(t));
-      for (int i = 0; i < kIters; ++i) {
-        Span sp(tr, "stress.span");
-        sp.arg("i", i);
-        tr.instant("stress.instant");
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  tr.disable();
-  // One complete event per span plus one instant per iteration.
-  EXPECT_EQ(tr.num_events(),
-            static_cast<std::size_t>(kThreads) * kIters * 2);
-  const std::string json = tr.to_json();
-  EXPECT_NE(json.find("stress.span"), std::string::npos);
-  EXPECT_NE(json.find("stress-0"), std::string::npos);
-}
 
 TEST(ObsStress, ProgressTickClaimsOneWindowAcrossThreads) {
   std::FILE* sink = std::tmpfile();
@@ -101,8 +44,49 @@ TEST(ObsStress, ProgressTickClaimsOneWindowAcrossThreads) {
   EXPECT_EQ(p.lines_emitted() - before, 1);
 }
 
+TEST(ObsStress, TracerUnderThreads) {
+  EventLog log;
+  log.open_memory();
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&log] {
+      for (int i = 0; i < kIters; ++i) {
+        Event(&log, "stress.span").arg("i", i).arg("seconds", 1e-6);
+        Event(&log, "stress.instant");
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  log.close();
+
+  JsonValue doc;
+  std::string why;
+  ASSERT_TRUE(parse_json(chrome_trace(log.memory_contents()), &doc, &why))
+      << why;
+  const JsonValue* events = doc.find("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->is_array());
+  // One complete event per span and one instant per iteration, each
+  // thread on its own lane.
+  long spans = 0, instants = 0;
+  std::set<long> lanes;
+  for (const JsonValue& ev : events->arr) {
+    const std::string name = ev.str_or("name", "");
+    if (name == "stress.span" && ev.str_or("ph", "") == "X") {
+      ++spans;
+      lanes.insert(ev.int_or("tid", -1));
+    } else if (name == "stress.instant" && ev.str_or("ph", "") == "i") {
+      ++instants;
+    }
+  }
+  EXPECT_EQ(spans, static_cast<long>(kThreads) * kIters);
+  EXPECT_EQ(instants, static_cast<long>(kThreads) * kIters);
+  EXPECT_EQ(lanes.size(), static_cast<std::size_t>(kThreads));
+}
+
 TEST(ObsStress, SyncExportWhileMutexesAreBusy) {
-  Metrics m;
+  EventLog log;
+  log.open_memory();
   Mutex mu("test.obsstress.export", 99);
   std::atomic<bool> stop{false};
   std::thread hammer([&] {
@@ -110,11 +94,18 @@ TEST(ObsStress, SyncExportWhileMutexesAreBusy) {
       MutexLock lk(&mu);
     }
   });
-  for (int i = 0; i < 50; ++i) export_sync_metrics(m);
+  for (int i = 0; i < 50; ++i) log_mutex_stats(&log);
   stop.store(true, std::memory_order_relaxed);
   hammer.join();
-  export_sync_metrics(m);
-  EXPECT_EQ(m.counter("sync.test.obsstress.export.acquisitions").value(),
+  log_mutex_stats(&log);
+  log.close();
+
+  // The snapshot taken after the join supersedes the 50 busy ones.
+  PostmortemReport report;
+  std::string error;
+  ASSERT_TRUE(analyze_events(log.memory_contents(), &report, &error))
+      << error;
+  EXPECT_EQ(report.locks.at("test.obsstress.export").acquisitions,
             mu.stats().acquisitions);
 }
 

@@ -9,7 +9,8 @@
 //   cgraf_cli lint    --design d.cgraf --floorplan base.fp [--json]
 //   cgraf_cli certify --design d.cgraf --baseline base.fp
 //                     --floorplan aged.fp [--st-target X] [--json]
-//   cgraf_cli analyze events.jsonl [--json]   (post-mortem of --log-events)
+//   cgraf_cli analyze events.jsonl [--json] [--chrome-trace t.json]
+//                     (post-mortem of --log-events; Chrome trace view)
 //
 // Every artifact is the text format of cgrra/io.h, so the steps compose
 // with shell pipelines and with hand-edited fixtures.
@@ -33,11 +34,8 @@
 #include "verify/input_lint.h"
 #include "verify/model_lint.h"
 #include "obs/event_log.h"
-#include "obs/metrics.h"
 #include "obs/postmortem.h"
 #include "obs/progress.h"
-#include "obs/sync_metrics.h"
-#include "obs/trace.h"
 #include "timing/sta.h"
 #include "util/ascii.h"
 #include "workloads/suite.h"
@@ -48,7 +46,7 @@ using namespace cgraf;
 
 int usage(int code = 2) {
   std::fprintf(code == 0 ? stdout : stderr,
-               "usage: cgraf_cli <gen|place|remap|report|lint|certify>"
+               "usage: cgraf_cli <gen|place|remap|report|lint|certify|analyze>"
                " [options]\n"
                "  gen    --out FILE  [--spec B1..B27 | --contexts N --dim D"
                " --usage U] [--seed S] [--paper-scale]\n"
@@ -73,15 +71,15 @@ int usage(int code = 2) {
                " [--json]\n"
                "         independently re-validate a remapped floorplan"
                " (exit 0 = certified)\n"
-               "  analyze EVENTS.jsonl [--json]\n"
+               "  analyze EVENTS.jsonl [--json] [--chrome-trace FILE]\n"
                "         post-mortem of a --log-events stream: B&B tree,"
-               " LP totals, probe chain\n"
-               "observability (any command):\n"
-               "  --trace FILE      write a Chrome trace-event JSON of the"
-               " run (chrome://tracing, Perfetto)\n"
-               "  --metrics FILE    write the solver metrics registry as"
-               " JSON\n"
-               "  --log-events FILE append structured solve events as JSONL"
+               " LP totals, probe chain,\n"
+               "         certificate rejections, percentiles, lock table;"
+               " --chrome-trace writes the\n"
+               "         stream as Chrome trace-event JSON"
+               " (chrome://tracing, Perfetto)\n"
+               "observability (every command but analyze):\n"
+               "  --log-events FILE write structured solve events as JSONL"
                " (see `analyze`)\n"
                "  --progress        rate-limited progress heartbeats on"
                " stderr\n"
@@ -127,9 +125,11 @@ struct Args {
 
   // Rejects flags outside the command's allowed set so typos fail loudly
   // instead of being silently ignored. The observability flags are legal
-  // with every command.
-  bool check_allowed(std::set<std::string> allowed) {
-    allowed.insert({"trace", "metrics", "log-events", "progress", "help"});
+  // with every command that runs the solver, i.e. all but analyze.
+  bool check_allowed(std::set<std::string> allowed,
+                     bool observability = true) {
+    allowed.insert("help");
+    if (observability) allowed.insert({"log-events", "progress"});
     for (const auto& [key, value] : values) {
       if (allowed.count(key) == 0) {
         ok = false;
@@ -715,7 +715,8 @@ int cmd_certify(const Args& args) {
 int cmd_analyze(const std::string& path, const Args& args) {
   obs::PostmortemReport report;
   std::string error;
-  if (!obs::analyze_events_file(path, &report, &error)) {
+  const auto text = read_file(path, &error);
+  if (!text || !obs::analyze_events(*text, &report, &error)) {
     std::fprintf(stderr, "analyze: %s\n", error.c_str());
     return 1;
   }
@@ -725,6 +726,13 @@ int cmd_analyze(const std::string& path, const Args& args) {
                  " flush?), first at line %ld: %s\n",
                  report.parse_errors.size(), report.parse_errors.front().first,
                  report.parse_errors.front().second.c_str());
+  }
+  if (const auto trace = args.get("chrome-trace")) {
+    if (!write_file(*trace, obs::chrome_trace(*text), &error)) {
+      std::fprintf(stderr, "analyze: %s\n", error.c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "chrome trace: %s\n", trace->c_str());
   }
   if (args.has("json")) {
     std::printf("%s\n", report.to_json().c_str());
@@ -742,7 +750,8 @@ int main(int argc, char** argv) {
   if (cmd == "--help" || cmd == "-h" || cmd == "help") return usage(0);
   if (cmd == "analyze") {
     // Unlike the other commands, analyze takes its input as a positional
-    // path: `cgraf_cli analyze events.jsonl [--json]`.
+    // path, and none of the observability flags: it reads a log, it does
+    // not write one.
     if (argc >= 3 && std::strcmp(argv[2], "--help") == 0) return usage(0);
     if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
       std::fprintf(stderr, "cgraf_cli: analyze needs an events.jsonl path\n");
@@ -750,7 +759,8 @@ int main(int argc, char** argv) {
     }
     Args aargs(argc, argv, 3);
     if (aargs.has("help")) return usage(0);
-    if (aargs.ok) aargs.check_allowed({"json"});
+    if (aargs.ok)
+      aargs.check_allowed({"json", "chrome-trace"}, /*observability=*/false);
     if (!aargs.ok) {
       std::fprintf(stderr, "cgraf_cli: %s\n", aargs.problem.c_str());
       return usage();
@@ -788,12 +798,9 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  // Observability: tracing/metrics/events/progress wrap whatever command
+  // Observability: the event log and progress lines wrap whatever command
   // runs.
-  const auto trace_path = args.get("trace");
-  const auto metrics_path = args.get("metrics");
   const auto events_path = args.get("log-events");
-  if (trace_path) obs::Tracer::global().enable();
   if (events_path) {
     std::string open_error;
     if (!obs::EventLog::global().open(*events_path, &open_error)) {
@@ -815,29 +822,9 @@ int main(int argc, char** argv) {
   else if (cmd == "lint") code = cmd_lint(args);
   else if (cmd == "certify") code = cmd_certify(args);
 
-  std::string error;
-  if (trace_path) {
-    obs::Tracer::global().disable();
-    if (!obs::Tracer::global().write_json(*trace_path, &error)) {
-      std::fprintf(stderr, "failed to write trace: %s\n", error.c_str());
-      if (code == 0) code = 1;
-    } else {
-      std::fprintf(stderr, "trace: %s (%zu events)\n", trace_path->c_str(),
-                   obs::Tracer::global().num_events());
-    }
-  }
-  if (metrics_path) {
-    // Fold the sync layer's per-mutex contention counters into the dump.
-    obs::export_sync_metrics();
-    if (!write_file(*metrics_path, obs::Metrics::global().to_json() + "\n",
-                    &error)) {
-      std::fprintf(stderr, "failed to write metrics: %s\n", error.c_str());
-      if (code == 0) code = 1;
-    } else {
-      std::fprintf(stderr, "metrics: %s\n", metrics_path->c_str());
-    }
-  }
   if (events_path) {
+    // The run's lock contention goes into the log as sync.mutex records.
+    obs::log_mutex_stats(&obs::EventLog::global());
     obs::EventLog::global().close();
     std::fprintf(stderr, "events: %s\n", events_path->c_str());
   }

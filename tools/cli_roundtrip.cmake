@@ -1,0 +1,43 @@
+# End-to-end check of the cgraf_cli text-format pipeline and its one
+# telemetry stream:
+#
+#   cmake -DCLI=path/to/cgraf_cli -DWORK=scratch/dir -P cli_roundtrip.cmake
+#
+# Runs gen -> place -> remap --log-events -> analyze --chrome-trace. Every
+# step must exit 0 and the trace must hold the remap as an 'X' span named
+# remap.end. analyze reads a log and writes none, so --log-events must be
+# rejected there as an unknown option (exit 2).
+
+# Runs the command in ARGN and fails unless it exits with `expected`.
+function(expect_exit expected)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL expected)
+    string(REPLACE ";" " " cmd "${ARGN}")
+    message(FATAL_ERROR "`${cmd}` exited ${code}, expected ${expected}\n"
+                        "${out}${err}")
+  endif()
+endfunction()
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+expect_exit(0 "${CLI}" gen --spec B13 --out "${WORK}/d.cgraf")
+expect_exit(0 "${CLI}" place --design "${WORK}/d.cgraf"
+            --out "${WORK}/base.fp")
+expect_exit(0 "${CLI}" remap --design "${WORK}/d.cgraf"
+            --floorplan "${WORK}/base.fp" --out "${WORK}/aged.fp"
+            --log-events "${WORK}/events.jsonl")
+expect_exit(0 "${CLI}" analyze "${WORK}/events.jsonl"
+            --chrome-trace "${WORK}/trace.json")
+
+file(READ "${WORK}/trace.json" trace)
+if(NOT trace MATCHES "\\{\"name\":\"remap\\.end\",[^{}]*\"ph\":\"X\"")
+  message(FATAL_ERROR "${WORK}/trace.json has no 'X' span named remap.end")
+endif()
+
+expect_exit(2 "${CLI}" analyze "${WORK}/events.jsonl"
+            --log-events "${WORK}/x.jsonl")
+if(EXISTS "${WORK}/x.jsonl")
+  message(FATAL_ERROR "analyze wrote ${WORK}/x.jsonl despite rejecting "
+                      "--log-events")
+endif()

@@ -49,14 +49,11 @@ void append_stage_fields(obs::JsonWriter& w, const LpStageStats& s) {
       .field("dual_fallbacks", s.dual_fallbacks);
 }
 
-void emit_lp_json(const char* name, long arg, const LpResult& r,
-                  Pricing pricing) {
+void emit_lp_json(const char* name, long arg, const LpResult& r) {
   obs::JsonWriter w;
   w.begin_object()
       .field("case", name)
       .field("arg", arg)
-      .field("pricing",
-             pricing == Pricing::kCandidateList ? "candidate" : "full")
       .field("wall_seconds", r.seconds)
       .field("lp_iterations", r.iterations)
       .field("nodes", 0L)
@@ -136,29 +133,23 @@ std::vector<int> optimal_basis(const Model& m) {
   return basis;
 }
 
-// range(0) = ops, range(1) = pricing scheme (0 full, 1 candidate list).
+// A cold LP solve. range(0) = ops.
 void BM_LpAssignment(benchmark::State& state) {
   const int ops = static_cast<int>(state.range(0));
-  const Pricing pricing =
-      state.range(1) == 0 ? Pricing::kFullDantzig : Pricing::kCandidateList;
   const Model m = assignment_model(ops, 36, 4, 42, /*integer=*/false);
-  LpOptions opts;
-  opts.pricing = pricing;
   for (auto _ : state) {
-    const LpResult r = solve_lp(m, opts);
+    const LpResult r = solve_lp(m);
     benchmark::DoNotOptimize(r.obj);
     if (r.status != SolveStatus::kOptimal) state.SkipWithError("LP failed");
   }
   state.counters["vars"] = m.num_vars();
   state.counters["rows"] = m.num_constraints();
-  const LpResult probe = solve_lp(m, opts);
+  const LpResult probe = solve_lp(m);
   state.counters["lp_iters"] = static_cast<double>(probe.iterations);
-  emit_lp_json("lp_assignment", state.range(0), probe, pricing);
+  emit_lp_json("lp_assignment", state.range(0), probe);
 }
 BENCHMARK(BM_LpAssignment)
-    ->Args({24, 0})->Args({24, 1})
-    ->Args({48, 0})->Args({48, 1})
-    ->Args({96, 0})->Args({96, 1})
+    ->Arg(24)->Arg(48)->Arg(96)
     ->Unit(benchmark::kMillisecond);
 
 // range(0) = ops, range(1) = branch & bound worker threads.
@@ -257,16 +248,11 @@ BENCHMARK(BM_LpRhsRampProbes)
 // The branch & bound child shape: each re-solve differs from the shared
 // parent by exactly one tightened variable bound and starts from the
 // parent's optimal basis — the case the dual simplex loop exists for.
-// range(0) = ops, range(1) = algorithm (0 warm primal, 1 auto/dual). The
-// pair of JSON lines is the dual-vs-primal re-solve comparison tracked by
-// the bench trajectory.
+// range(0) = ops.
 void BM_LpChildResolve(benchmark::State& state) {
   const int ops = static_cast<int>(state.range(0));
-  const bool dual = state.range(1) == 1;
   const Model m = assignment_model(ops, 36, 4, 42, /*integer=*/false);
-  LpOptions opts;
-  opts.algorithm = dual ? LpAlgorithm::kAutoWarm : LpAlgorithm::kPrimal;
-  SimplexEngine engine(m, opts);
+  SimplexEngine engine(m);
   const LpResult root = engine.solve();
   if (root.status != SolveStatus::kOptimal) {
     state.SkipWithError("root LP failed");
@@ -318,13 +304,9 @@ void BM_LpChildResolve(benchmark::State& state) {
     w.begin_object()
         .field("case", "lp_child_resolve")
         .field("arg", static_cast<long>(state.range(0)))
-        .field("algorithm", dual ? "auto" : "primal")
         .field("children", static_cast<long>(branch_vars.size()))
         .field("wall_seconds", wall)
         .field("lp_iterations", iters)
-        // Bit-comparable across the two algorithm variants: the dual loop's
-        // results are certified by the primal pricing pass, so this sum must
-        // match between the primal and auto JSON lines.
         .field("objective_sum", obj_sum)
         .field("nodes", 0L)
         .field("threads", 1L);
@@ -335,8 +317,7 @@ void BM_LpChildResolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LpChildResolve)
-    ->Args({48, 0})->Args({48, 1})
-    ->Args({96, 0})->Args({96, 1})
+    ->Arg(48)->Arg(96)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LuFactorize(benchmark::State& state) {

@@ -37,21 +37,8 @@ struct Row {
   double ilp_obj = 0.0;
   core::TwoStepStats ilp_stats;
   core::TwoStepStats dive_stats;
-  // The same two-step dive run twice — LP algorithm forced to warm primal
-  // vs. auto (dual on warm re-solves) — with the independent certifier on.
-  // Every individual LP agrees bit-for-bit on status and objective across
-  // algorithms (the engine's identity contract); end to end the decoded
-  // plans also match except when a degenerate LP optimum lets the dive fix
-  // a different co-optimal vertex — the same documented path-dependence as
-  // warm-vs-cold ILP probes (DESIGN.md §7). Both plans are always
-  // certified; the iteration/wall gap is the dual simplex payoff.
-  milp::SolveStatus dive_primal_status = milp::SolveStatus::kNumericalError;
-  double dive_primal_seconds = 0.0;
-  core::TwoStepStats dive_primal_stats;
   double dive_max_stress = 0.0;
-  double dive_primal_max_stress = 0.0;
-  bool dive_objectives_match = false;
-  bool dive_certified = false;
+  bool dive_certified = false;  // the dive ran with the certifier on
   // Step-1 warm vs cold probe comparison (same binary search twice).
   int st_probes = 0;
   int st_warm_hits = 0;
@@ -159,21 +146,7 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
     if (!r.floorplan.op_to_pe.empty())
       row.ilp_obj = compute_stress(design, r.floorplan).max_accumulated();
   }
-  {  // Two-step relaxation (iterated dive), LP algorithm forced to primal.
-    core::TwoStepOptions opts;
-    opts.mip.num_threads = threads;
-    opts.lp.algorithm = milp::LpAlgorithm::kPrimal;
-    opts.mip.lp.algorithm = milp::LpAlgorithm::kPrimal;
-    opts.verify.enabled = true;
-    const auto r = solve_two_step(rm, opts);
-    row.dive_primal_status = r.status;
-    row.dive_primal_seconds = r.stats.lp_seconds + r.stats.mip_seconds;
-    row.dive_primal_stats = r.stats;
-    if (!r.floorplan.op_to_pe.empty())
-      row.dive_primal_max_stress =
-          compute_stress(design, r.floorplan).max_accumulated();
-  }
-  {  // Two-step relaxation (iterated dive), default auto (dual on warm).
+  {  // Two-step relaxation (iterated dive), independently certified.
     core::TwoStepOptions opts;
     opts.mip.num_threads = threads;
     opts.verify.enabled = true;
@@ -181,14 +154,11 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
     row.dive_status = r.status;
     row.dive_seconds = r.stats.lp_seconds + r.stats.mip_seconds;
     row.dive_stats = r.stats;
+    row.dive_certified = true;
     if (!r.floorplan.op_to_pe.empty())
       row.dive_max_stress =
           compute_stress(design, r.floorplan).max_accumulated();
   }
-  row.dive_objectives_match =
-      row.dive_status == row.dive_primal_status &&
-      row.dive_max_stress == row.dive_primal_max_stress;
-  row.dive_certified = true;  // opts.verify.enabled held for both dives
   return row;
 }
 
@@ -257,34 +227,6 @@ int main(int argc, char** argv) {
               rows.back().name.c_str(),
               core::format_solver_stats(rows.back().ilp_stats).c_str());
 
-  {  // Two-step dive: dual-on-warm (auto) vs forced warm primal.
-    double auto_s = 0.0, primal_s = 0.0;
-    long auto_it = 0, primal_it = 0;
-    long dual_it = 0, flips = 0;
-    int matched = 0;
-    for (const Row& row : rows) {
-      auto_s += row.dive_seconds;
-      primal_s += row.dive_primal_seconds;
-      auto_it += row.dive_stats.lp_iterations +
-                 row.dive_stats.mip_lp_iterations;
-      primal_it += row.dive_primal_stats.lp_iterations +
-                   row.dive_primal_stats.mip_lp_iterations;
-      dual_it += row.dive_stats.lp_stage.dual_iterations;
-      flips += row.dive_stats.lp_stage.bound_flips;
-      matched += row.dive_objectives_match ? 1 : 0;
-    }
-    std::printf(
-        "two-step LP algorithm: auto %.2fs / %ld LP iterations "
-        "(%ld dual, %ld bound flips) vs primal %.2fs / %ld iterations "
-        "(%.2fx wall, %.2fx iterations); certified plans bit-identical on "
-        "%d/%zu instances (the rest differ among co-optimal vertices)\n\n",
-        auto_s, auto_it, dual_it, flips, primal_s, primal_it,
-        primal_s / std::max(1e-9, auto_s),
-        static_cast<double>(primal_it) /
-            std::max(1.0, static_cast<double>(auto_it)),
-        matched, rows.size());
-  }
-
   {  // Step-1 probe sessions: warm-started patches vs cold rebuilds.
     double warm_total = 0.0, cold_total = 0.0;
     int probes = 0, hits = 0;
@@ -315,11 +257,7 @@ int main(int argc, char** argv) {
         .field("ilp_max_stress", row.ilp_obj)
         .field("dive_status", milp::to_string(row.dive_status))
         .field("dive_wall_seconds", row.dive_seconds)
-        .field("dive_primal_status", milp::to_string(row.dive_primal_status))
-        .field("dive_primal_wall_seconds", row.dive_primal_seconds)
         .field("dive_max_stress", row.dive_max_stress)
-        .field("dive_primal_max_stress", row.dive_primal_max_stress)
-        .field("dive_objectives_match", row.dive_objectives_match)
         .field("dive_certified", row.dive_certified)
         .field("st_probes", row.st_probes)
         .field("st_warm_hits", row.st_warm_hits)
@@ -332,10 +270,7 @@ int main(int argc, char** argv) {
         .field("st_probe_max_s", probe_pct(row.probe_log, 1.0))
         .raw_field("ilp", "{" + core::solver_stats_json(row.ilp_stats) + "}")
         .raw_field("dive",
-                   "{" + core::solver_stats_json(row.dive_stats) + "}")
-        .raw_field("dive_primal",
-                   "{" + core::solver_stats_json(row.dive_primal_stats) +
-                       "}");
+                   "{" + core::solver_stats_json(row.dive_stats) + "}");
     w.field("schema_version", obs::kBenchJsonSchemaVersion);
     obs::append_build_info_fields(w);
     w.end_object();

@@ -81,11 +81,9 @@ TwoStepResult ProbeSession::solve_lp_probe() {
   res.stats.warm_start_used = have_warm && lp.warm_used;
   if (!lp.basis.empty()) basis_ = lp.basis;
 
-  if (lp.dual_used) ++stats_.dual_solves;
   res.stats.lp_status = lp.status;
   res.stats.lp_iterations = lp.iterations;
   res.stats.lp_seconds = lp.seconds;
-  res.stats.lp_algorithm = solver_.lp.algorithm;
   res.stats.lp_stage.add(lp.stats);
   res.basis = lp.basis;
   if (lp.status != milp::SolveStatus::kOptimal) {
@@ -153,7 +151,6 @@ TwoStepResult ProbeSession::solve(double st_target) {
       if (r.stats.warm_start_used) ++stats_.warm_hits;
       else ++stats_.basis_fallbacks;
     }
-    if (r.stats.lp_stage.dual_iterations > 0) ++stats_.dual_solves;
     if (!r.basis.empty()) basis_ = r.basis;
     return r;
   }();
@@ -167,7 +164,6 @@ TwoStepResult ProbeSession::solve(double st_target) {
         .arg("fallback", stats_.basis_fallbacks > before.basis_fallbacks)
         .arg("rebuild", stats_.model_rebuilds > before.model_rebuilds)
         .arg("patch", stats_.patches > before.patches)
-        .arg("dual", stats_.dual_solves > before.dual_solves)
         .arg("lp_iterations",
              res.stats.lp_iterations + res.stats.mip_lp_iterations)
         .arg("seconds", now_seconds() - t0)

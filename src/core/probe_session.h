@@ -38,9 +38,6 @@ struct ProbeSessionStats {
   int model_rebuilds = 0;
   // RHS-only patches that replaced a rebuild.
   int patches = 0;
-  // Probes whose LP work engaged the dual simplex loop — the expected case
-  // for every warm-chained probe under LpAlgorithm::kAutoWarm.
-  int dual_solves = 0;
 };
 
 class ProbeSession {

@@ -125,7 +125,6 @@ std::string format_solver_stats(const TwoStepStats& stats) {
   table.add_row({"MIP time", fmt_double(stats.mip_seconds, 4) + "s"});
   table.add_row({"fallback (unfixed dive)",
                  stats.fallback_unfixed ? "yes" : "no"});
-  table.add_row({"LP algorithm", milp::to_string(stats.lp_algorithm)});
   table.add_row({"dual iterations", std::to_string(s.dual_iterations)});
   table.add_row({"bound flips", std::to_string(s.bound_flips)});
   table.add_row({"refactorizations", std::to_string(s.refactorizations)});
@@ -165,7 +164,6 @@ std::string solver_stats_json(const TwoStepStats& stats) {
       .field("lp_status", milp::to_string(stats.lp_status))
       .field("mip_status", milp::to_string(stats.mip_status))
       .field("fallback_unfixed", stats.fallback_unfixed)
-      .field("algorithm", milp::to_string(stats.lp_algorithm))
       .field("dual_iterations", s.dual_iterations)
       .field("bound_flips", s.bound_flips)
       .field("refactorizations", s.refactorizations)

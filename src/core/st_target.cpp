@@ -106,7 +106,6 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
     res.warm_hits = ps.warm_hits;
     res.basis_fallbacks = ps.basis_fallbacks;
     res.model_rebuilds = ps.model_rebuilds;
-    res.dual_solves = ps.dual_solves;
     obs::Event ev(events, "st.search_end");
     if (ev.active()) {
       ev.arg("st_target", res.st_target)

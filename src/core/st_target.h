@@ -53,7 +53,6 @@ struct StTargetResult {
   int warm_hits = 0;        // solves started from the previous probe's basis
   int basis_fallbacks = 0;  // chained basis abandoned for the slack basis
   int model_rebuilds = 0;   // full build_remap_model calls
-  int dual_solves = 0;      // probes whose LPs ran the dual simplex loop
   // Per-probe log, in solve order: target, verdict, wall seconds. The
   // differential tests compare it probe by probe; the benches derive their
   // probe-time percentiles from it.

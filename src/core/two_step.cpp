@@ -253,7 +253,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   const double t_start = now_seconds();
   TwoStepResult res;
   res.stats.vars_total = rm.num_binary_vars;
-  res.stats.lp_algorithm = opts.lp.algorithm;
   const auto finish = [&] {
     obs::Event ev(opts.events, "twostep.solve");
     if (ev.active()) {

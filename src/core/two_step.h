@@ -86,9 +86,6 @@ struct TwoStepStats {
   int mip_threads = 1;            // worker threads of the last B&B run
   std::vector<long> mip_nodes_per_thread;
   milp::LpStageStats lp_stage;    // aggregated over every LP solved
-  // The algorithm requested via opts.lp (the dive/probe LPs; what the
-  // dual-iteration counters in lp_stage should be read against).
-  milp::LpAlgorithm lp_algorithm = milp::LpAlgorithm::kAutoWarm;
   // opts.warm_basis was supplied and the first LP actually started from it
   // (false also when no warm basis was given).
   bool warm_start_used = false;

@@ -25,21 +25,22 @@ const char* to_string(SolveStatus s) {
   return "?";
 }
 
-const char* to_string(LpAlgorithm a) {
-  switch (a) {
-    case LpAlgorithm::kPrimal: return "primal";
-    case LpAlgorithm::kDual: return "dual";
-    case LpAlgorithm::kAutoWarm: return "auto";
-  }
-  return "?";
-}
-
 namespace {
 
 constexpr double kPivotZero = 1e-9;   // |w_i| below this cannot pivot
 constexpr long kBlandTrigger = 2000;  // stalled iterations before Bland mode
 constexpr double kRhoZero = 1e-12;    // pricing-update row entries below this
                                       // are treated as exact zeros
+constexpr int kRefactorInterval = 100;  // LU updates between refactorizations
+// Full reduced-cost refresh at least every this many incremental updates
+// (numerical hygiene; refactorizations force one too).
+constexpr long kPricingRefreshInterval = 64;
+// Exact steepest-edge weight recompute every this many dual pivots (m
+// BTRANs each time; keeps long dual runs from drifting).
+constexpr long kDseRecomputeInterval = 128;
+// Debug builds cross-check the incremental weights against an exact
+// recompute every this many dual pivots (CGRAF_DCHECK).
+[[maybe_unused]] constexpr long kDseCheckInterval = 64;
 
 // All mutable state of one solve, kept together so helper lambdas stay small.
 struct Work {
@@ -226,7 +227,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   // of every column (0 for basics) and is maintained across pivots by a
   // rank-one update from the BTRAN'd pivot row; it is only trusted while
   // `d_valid` holds, and is rebuilt exactly from scratch on phase changes,
-  // refactorizations, and every pricing_refresh_interval updates.
+  // refactorizations, and every kPricingRefreshInterval updates.
   std::vector<double> d(static_cast<size_t>(w.total), 0.0);
   bool d_valid = false;
   long updates_since_refresh = 0;
@@ -236,10 +237,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   std::vector<double> alpha(static_cast<size_t>(w.total), 0.0);
   std::vector<char> alpha_mark(static_cast<size_t>(w.total), 0);
   std::vector<int> alpha_touched;
-  const int bucket_cap =
-      opts_.candidate_bucket > 0
-          ? opts_.candidate_bucket
-          : std::clamp(w.total / 8, 16, 512);
+  const int bucket_cap = std::clamp(w.total / 8, 16, 512);
 
   auto eligible = [&](int j, double dj) {
     const ColStatus s = w.status[static_cast<size_t>(j)];
@@ -333,7 +331,6 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
           .arg("bound_flips", res.stats.bound_flips)
           .arg("refactorizations", res.stats.refactorizations)
           .arg("dual_fallbacks", res.stats.dual_fallbacks)
-          .arg("algorithm", to_string(opts_.algorithm))
           .arg("warm_used", res.warm_used)
           .arg("dual_used", res.dual_used)
           .arg("obj", res.obj)
@@ -345,16 +342,14 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   long iter = 0;
 
   // ===== Dual simplex =====
-  // Runs ahead of the primal loop when requested: pivots while some basic
-  // violates a bound but the reduced costs stay dual feasible. On every
-  // exit except a proven infeasibility certificate, control falls through
-  // to the primal loop below, which certifies the result with exact
-  // pricing (and takes zero pivots after a clean dual run) — so statuses
-  // and objectives are identical across all algorithm settings.
-  const bool want_dual =
-      opts_.algorithm == LpAlgorithm::kDual ||
-      (opts_.algorithm == LpAlgorithm::kAutoWarm && warmed);
-  if (want_dual && m_ > 0) {
+  // Runs ahead of the primal loop on every warm solve — the B&B-child /
+  // probe-chain case, where costs and matrix are unchanged so the previous
+  // optimal basis stays dual feasible after a bound change. Pivots while
+  // some basic violates a bound but the reduced costs stay dual feasible.
+  // On every exit except a proven infeasibility certificate, control falls
+  // through to the primal loop below, which certifies the result with exact
+  // pricing (and takes zero pivots after a clean dual run).
+  if (warmed && m_ > 0) {
     refresh_d();
 
     // --- Dual-feasibility repair: a nonbasic column whose reduced cost
@@ -401,16 +396,14 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       }
       res.dual_used = true;
 
-      // --- Leaving-row pricing weights. Steepest edge wants
-      // w_i = ||B^-T e_i||^2; a slack start (B = -I) makes the unit init
-      // exact for free, a warm start can often reuse the engine's cached
-      // weights from the previous dual run on the same basis, and anything
-      // else starts approximate and converges via the periodic exact
-      // recompute. Devex keeps cheap reference weights instead.
-      const bool steepest = opts_.dual_pricing == DualPricing::kSteepestEdge;
+      // --- Leaving-row pricing weights. Dual steepest edge wants
+      // w_i = ||B^-T e_i||^2. A warm start can often reuse the engine's
+      // cached weights from the previous dual run on the same basis;
+      // anything else starts from unit weights and converges via the
+      // periodic exact recompute.
       std::vector<double> dw(static_cast<size_t>(m_), 1.0);
-      bool weights_exact = steepest && !warmed;
-      if (steepest && warmed && dse_exact_ && dse_basis_cols_ == w.basis) {
+      bool weights_exact = false;
+      if (dse_exact_ && dse_basis_cols_ == w.basis) {
         dw = dse_weights_;
         weights_exact = true;
       }
@@ -459,8 +452,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
               opts_.cancel->load(std::memory_order_relaxed)))) {
           break;  // the primal loop reports the limit/cancel status
         }
-        if (!d_valid ||
-            updates_since_refresh >= opts_.pricing_refresh_interval) {
+        if (!d_valid || updates_since_refresh >= kPricingRefreshInterval) {
           refresh_d();
         }
 
@@ -674,42 +666,25 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         {
           const double t0 = now_seconds();
           const double inv = 1.0 / w_r;
-          if (steepest) {
-            double beta_r = 0.0;
-            for (const double v : rho) beta_r += v * v;
-            tau = rho;
-            w.lu.ftran(tau);
-            for (int i = 0; i < m_; ++i) {
-              if (i == r) continue;
-              const double wi = spike[static_cast<size_t>(i)];
-              if (wi == 0.0) continue;
-              const double k = wi * inv;
-              double nw = dw[static_cast<size_t>(i)] -
-                          2.0 * k * tau[static_cast<size_t>(i)] +
-                          k * k * beta_r;
-              if (nw < 1e-10) {
-                nw = 1e-10;  // cancellation floor: no longer exact
-                weights_exact = false;
-              }
-              dw[static_cast<size_t>(i)] = nw;
+          double beta_r = 0.0;
+          for (const double v : rho) beta_r += v * v;
+          tau = rho;
+          w.lu.ftran(tau);
+          for (int i = 0; i < m_; ++i) {
+            if (i == r) continue;
+            const double wi = spike[static_cast<size_t>(i)];
+            if (wi == 0.0) continue;
+            const double k = wi * inv;
+            double nw = dw[static_cast<size_t>(i)] -
+                        2.0 * k * tau[static_cast<size_t>(i)] +
+                        k * k * beta_r;
+            if (nw < 1e-10) {
+              nw = 1e-10;  // cancellation floor: no longer exact
+              weights_exact = false;
             }
-            dw[static_cast<size_t>(r)] = std::max(beta_r * inv * inv, 1e-10);
-          } else {
-            const double gr = dw[static_cast<size_t>(r)];
-            for (int i = 0; i < m_; ++i) {
-              if (i == r) continue;
-              const double wi = spike[static_cast<size_t>(i)];
-              if (wi == 0.0) continue;
-              const double cand = wi * inv * wi * inv * gr;
-              if (cand > dw[static_cast<size_t>(i)])
-                dw[static_cast<size_t>(i)] = cand;
-            }
-            dw[static_cast<size_t>(r)] = std::max(gr * inv * inv, 1.0);
-            if (dw[static_cast<size_t>(r)] > 1e10) {
-              std::fill(dw.begin(), dw.end(), 1.0);
-              ++res.stats.steepest_edge_resets;
-            }
+            dw[static_cast<size_t>(i)] = nw;
           }
+          dw[static_cast<size_t>(r)] = std::max(beta_r * inv * inv, 1e-10);
           res.stats.dse_seconds += now_seconds() - t0;
         }
 
@@ -717,7 +692,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
 
         // --- LU update / periodic refactorization.
         const double t_upd = now_seconds();
-        const bool updated = w.lu.num_updates() < opts_.refactor_interval &&
+        const bool updated = w.lu.num_updates() < kRefactorInterval &&
                              w.lu.update(spike, r);
         res.stats.factor_seconds += now_seconds() - t_upd;
         if (!updated) {
@@ -729,38 +704,32 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         // --- Periodic exact steepest-edge recompute (numerical hygiene)
         // plus, in debug builds, the drift cross-check of the incremental
         // weights. The check only fires while the weights are provably
-        // exact modulo roundoff (exact init or last exact recompute, no
-        // cancellation floor hit since).
-        if (steepest) {
-          ++since_recompute;
+        // exact modulo roundoff (cached exact weights or last exact
+        // recompute, no cancellation floor hit since).
+        ++since_recompute;
 #ifndef NDEBUG
-          if (opts_.dse_check_interval > 0 && weights_exact &&
-              since_recompute % opts_.dse_check_interval == 0) {
-            std::vector<double> exact;
-            exact_weights(exact);
-            for (int i = 0; i < m_; ++i) {
-              const double e = exact[static_cast<size_t>(i)];
-              CGRAF_DCHECK(std::abs(dw[static_cast<size_t>(i)] - e) <=
-                           5e-2 * (1.0 + e));
-            }
+        if (weights_exact && since_recompute % kDseCheckInterval == 0) {
+          std::vector<double> exact;
+          exact_weights(exact);
+          for (int i = 0; i < m_; ++i) {
+            const double e = exact[static_cast<size_t>(i)];
+            CGRAF_DCHECK(std::abs(dw[static_cast<size_t>(i)] - e) <=
+                         5e-2 * (1.0 + e));
           }
+        }
 #endif
-          if (opts_.dse_recompute_interval > 0 &&
-              since_recompute >= opts_.dse_recompute_interval) {
-            exact_weights(dw);
-            weights_exact = true;
-            since_recompute = 0;
-            ++res.stats.steepest_edge_resets;
-          }
+        if (since_recompute >= kDseRecomputeInterval) {
+          exact_weights(dw);
+          weights_exact = true;
+          since_recompute = 0;
+          ++res.stats.steepest_edge_resets;
         }
       }
 
       // Park the weights for the next warm re-solve on this engine.
-      if (steepest) {
-        dse_basis_cols_ = w.basis;
-        dse_weights_ = dw;
-        dse_exact_ = weights_exact;
-      }
+      dse_basis_cols_ = w.basis;
+      dse_weights_ = dw;
+      dse_exact_ = weights_exact;
     }
   }
 
@@ -811,8 +780,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     // --- Pricing. Phase-1 costs change with the violated set, and Bland
     // mode needs exact first-eligible semantics, so both use the full path;
     // feasible Dantzig iterations use the maintained vector + bucket.
-    const bool candidate_mode =
-        opts_.pricing == Pricing::kCandidateList && !phase1 && !bland;
+    const bool candidate_mode = !phase1 && !bland;
     int enter = -1;
     double enter_d = 0.0;
     if (!candidate_mode) {
@@ -870,8 +838,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         return finish(SolveStatus::kOptimal);
       }
     } else {
-      if (!d_valid ||
-          updates_since_refresh >= opts_.pricing_refresh_interval) {
+      if (!d_valid || updates_since_refresh >= kPricingRefreshInterval) {
         refresh_d();
       }
       const double t_price = now_seconds();
@@ -1033,7 +1000,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     }
 
     const double t_upd = now_seconds();
-    const bool updated = w.lu.num_updates() < opts_.refactor_interval &&
+    const bool updated = w.lu.num_updates() < kRefactorInterval &&
                          w.lu.update(spike, leave_pos);
     res.stats.factor_seconds += now_seconds() - t_upd;
     if (!updated) {

@@ -1,9 +1,14 @@
-// Bounded-variable revised primal simplex with sparse LU basis handling.
+// Bounded-variable revised simplex with sparse LU basis handling.
 //
 // The engine solves the LP relaxation of a Model. Branch & bound constructs
 // one engine per model and re-solves with per-node structural bound
 // overrides and warm-started bases, so the (potentially large) constraint
 // matrix is standardized only once.
+//
+// There is one pivoting configuration. A cold solve runs the two-phase
+// primal loop with candidate-list pricing. A solve from an accepted warm
+// basis first runs a bound-flipping dual loop with dual steepest-edge row
+// pricing; the primal loop then certifies every optimum with exact pricing.
 #pragma once
 
 #include <atomic>
@@ -32,71 +37,11 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus s);
 
-// Entering-variable selection scheme for the (feasible) phase-2 iterations.
-enum class Pricing {
-  // Recompute every nonbasic reduced cost from scratch each iteration and
-  // take the most negative (textbook Dantzig). O(nnz(A)) per pivot.
-  kFullDantzig,
-  // Maintain the reduced-cost vector incrementally across pivots (one extra
-  // sparse BTRAN per basis change) and select from a rotating candidate
-  // bucket of attractive columns, with periodic full refreshes and an exact
-  // full-pricing confirmation before optimality is declared. Same optima,
-  // much cheaper pivots on large sparse models.
-  kCandidateList,
-};
-
-// Which simplex variant drives a solve. The dual loop never decides
-// optimality on its own: whenever it reaches primal feasibility (or gives
-// up for numerical reasons) control falls through to the primal loop, which
-// certifies optimality with exact pricing. Statuses and objectives are
-// therefore identical across all three settings; only the pivot sequence
-// (and hence the iteration/time profile) differs.
-enum class LpAlgorithm {
-  // The original two-phase primal simplex, warm or cold.
-  kPrimal,
-  // Dual simplex whenever the starting basis (warm or slack) can be made
-  // dual-feasible by flipping boxed nonbasic columns; primal otherwise.
-  kDual,
-  // Dual simplex iff a usable warm basis was supplied and is dual-feasible
-  // after the bound change — the B&B-child / probe-chain case, where costs
-  // and matrix are unchanged so the parent's optimal basis stays dual
-  // feasible. Falls back to primal (keeping the warm basis) otherwise.
-  kAutoWarm,
-};
-
-const char* to_string(LpAlgorithm a);
-
-// Leaving-row selection weights for the dual loop.
-enum class DualPricing {
-  // Dual steepest edge (Forrest–Goldfarb): w_i ~ ||B^-T e_i||^2, updated
-  // incrementally each pivot and recomputed exactly every
-  // dse_recompute_interval iterations.
-  kSteepestEdge,
-  // Devex-style reference weights: cheaper upkeep (no extra FTRAN per
-  // pivot), approximate, reset to 1 when they overflow.
-  kDevex,
-};
-
 struct LpOptions {
   long max_iters = 500000;
   double time_limit_s = 1e18;
   double tol_feas = 1e-7;   // bound/row feasibility tolerance
   double tol_cost = 1e-7;   // reduced-cost (dual) tolerance
-  int refactor_interval = 100;
-  Pricing pricing = Pricing::kCandidateList;
-  // Candidate bucket size; 0 picks clamp(total_cols / 8, 16, 512).
-  int candidate_bucket = 0;
-  // Full reduced-cost refresh at least every this many incremental updates
-  // (numerical hygiene; refactorizations force one too).
-  int pricing_refresh_interval = 64;
-  LpAlgorithm algorithm = LpAlgorithm::kAutoWarm;
-  DualPricing dual_pricing = DualPricing::kSteepestEdge;
-  // Exact steepest-edge weight recompute every this many dual pivots
-  // (m BTRANs each time; keeps long dual runs from drifting). <= 0 disables.
-  int dse_recompute_interval = 128;
-  // Debug builds cross-check incremental weights against an exact recompute
-  // every this many dual pivots (CGRAF_DCHECK). <= 0 disables.
-  int dse_check_interval = 64;
   // When non-null and enabled, every solve() emits one "lp.solve" record
   // here (obs/event_log.h). The analyzer's LP-iteration totals sum these,
   // so the pointer is plumbed to EVERY engine (B&B children, dive LPs,
@@ -133,10 +78,10 @@ struct LpStageStats {
   long bound_flips = 0;          // bound-to-bound flips (dual ratio test +
                                  // dual-feasibility repair)
   long refactorizations = 0;     // basis factorizations, incl. the initial
-  long steepest_edge_resets = 0;  // pricing weights re-seeded (exact
-                                  // recompute or Devex overflow reset)
-  long dual_fallbacks = 0;       // dual requested but basis not repairable
-                                 // to dual feasibility; primal ran instead
+  long steepest_edge_resets = 0;  // periodic exact recomputes of the dual
+                                  // steepest-edge weights
+  long dual_fallbacks = 0;       // warm basis not repairable to dual
+                                 // feasibility; primal ran instead
 
   void add(const LpStageStats& o) {
     pricing_seconds += o.pricing_seconds;
@@ -174,8 +119,8 @@ struct LpResult {
   // slack basis. Callers chaining bases across re-solves (the ST_target
   // probe sessions) use this to count warm hits vs fallbacks.
   bool warm_used = false;
-  // The dual simplex loop ran for this solve (kDual, or kAutoWarm with a
-  // dual-feasible warm basis). The reported optimum is still certified by
+  // The dual simplex loop ran for this solve: the warm basis was used and
+  // could be made dual feasible. The reported optimum is still certified by
   // the primal loop's exact pricing pass.
   bool dual_used = false;
   LpStageStats stats;

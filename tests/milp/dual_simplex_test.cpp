@@ -1,8 +1,9 @@
 // The dual simplex loop must be a pivot-order optimization, never a
-// behaviour change: every status and objective agrees with the primal
-// algorithm (the primal loop still certifies optimality after a dual run),
-// and kAutoWarm engages exactly on the warm-re-solve pattern that branch &
-// bound children and ST_target probe chains produce.
+// behaviour change: every warm status and objective agrees with a cold
+// solve, which runs the primal loop alone (the primal loop also certifies
+// optimality after a dual run), and the dual loop engages exactly on the
+// warm-re-solve pattern that branch & bound children and ST_target probe
+// chains produce.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -46,14 +47,6 @@ Model assignment_lp(std::uint64_t seed, int ops, int pes) {
   return m;
 }
 
-LpResult solve_with(const Model& m, LpAlgorithm alg,
-                    DualPricing pricing = DualPricing::kSteepestEdge) {
-  LpOptions opts;
-  opts.algorithm = alg;
-  opts.dual_pricing = pricing;
-  return solve_lp(m, opts);
-}
-
 void expect_same(const LpResult& a, const LpResult& b, const char* label) {
   ASSERT_EQ(a.status, b.status) << label;
   if (a.status == SolveStatus::kOptimal) {
@@ -62,51 +55,38 @@ void expect_same(const LpResult& a, const LpResult& b, const char* label) {
 }
 
 TEST(DualSimplex, AllBoxedColumnsResolveByBoundFlips) {
-  // min -sum(x) s.t. sum(x) <= 3.5, x in [0,1]^8. Every structural column
-  // is boxed, so the cold dual start repairs by flipping all eight to their
-  // upper bounds, then the bound-flipping ratio test walks enough of them
-  // back down to restore the capacity row.
+  // min -sum(x) s.t. sum(x) <= 8, x in [0,1]^8: every structural column
+  // sits at its upper bound. Tightening the row to <= 3.5 keeps that basis
+  // dual feasible but violates the row, so the warm re-solve runs the dual
+  // loop, whose bound-flipping ratio test walks three columns back down and
+  // pivots the fourth into the basis at 0.5.
   Model m;
   std::vector<std::pair<int, double>> row;
   for (int j = 0; j < 8; ++j) row.emplace_back(m.add_continuous(0, 1, -1), 1.0);
-  m.add_le(std::move(row), 3.5);
-  const LpResult dual = solve_with(m, LpAlgorithm::kDual);
+  m.add_le(std::move(row), 8.0);
+  SimplexEngine engine(m);
+  const LpResult root = engine.solve();
+  ASSERT_EQ(root.status, SolveStatus::kOptimal);
+  engine.set_row_bounds(0, -kInf, 3.5);
+  const LpResult dual = engine.solve(&root.basis);
   ASSERT_EQ(dual.status, SolveStatus::kOptimal);
   EXPECT_TRUE(dual.dual_used);
-  EXPECT_GT(dual.stats.bound_flips, 0);
+  EXPECT_EQ(dual.stats.bound_flips, 3);
+  EXPECT_EQ(dual.stats.dual_iterations, 1);
   EXPECT_NEAR(dual.obj, -3.5, 1e-8);
-  expect_same(dual, solve_with(m, LpAlgorithm::kPrimal), "all-boxed");
-}
-
-TEST(DualSimplex, ColdDualAgreesWithPrimalOnStructuredModels) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const Model m = assignment_lp(seed, 24, 10);
-    const LpResult primal = solve_with(m, LpAlgorithm::kPrimal);
-    const LpResult dual = solve_with(m, LpAlgorithm::kDual);
-    expect_same(dual, primal, "assignment");
-    EXPECT_FALSE(primal.dual_used);
-  }
-}
-
-TEST(DualSimplex, DevexPricingAgrees) {
-  for (const std::uint64_t seed : {4ull, 5ull}) {
-    const Model m = assignment_lp(seed, 20, 8);
-    expect_same(solve_with(m, LpAlgorithm::kDual, DualPricing::kDevex),
-                solve_with(m, LpAlgorithm::kPrimal), "devex");
-  }
+  expect_same(dual, engine.solve(), "all-boxed");
 }
 
 TEST(DualSimplex, AutoWarmEngagesOnlyWithWarmBasis) {
   const Model m = assignment_lp(7, 24, 10);
-  LpOptions opts;  // default algorithm: kAutoWarm
-  SimplexEngine engine(m, opts);
+  SimplexEngine engine(m);
   const LpResult root = engine.solve();
   ASSERT_EQ(root.status, SolveStatus::kOptimal);
   EXPECT_FALSE(root.dual_used);  // cold solve: no warm basis, primal runs
 
   // Tighten the bounds of basic-at-value variables, as a branch-and-bound
   // child does, and re-solve from the root basis: the warm basis stays dual
-  // feasible (costs unchanged) but turns primal infeasible, so kAutoWarm
+  // feasible (costs unchanged) but turns primal infeasible, so the engine
   // runs the dual loop and actually pivots.
   std::vector<double> lb = engine.model_lb();
   std::vector<double> ub = engine.model_ub();
@@ -130,41 +110,48 @@ TEST(DualSimplex, AutoWarmEngagesOnlyWithWarmBasis) {
 }
 
 TEST(DualSimplex, UnrepairableBasisFallsBackToPrimal) {
-  // min -x with x in [0, inf): the slack start prices x at reduced cost -1
-  // with no finite upper bound to flip to, so the basis cannot be made dual
-  // feasible — the engine must count one fallback and let the primal loop
-  // solve from the same basis.
+  // min -x with x in [0, inf): the slack basis, passed as a warm start,
+  // prices x at reduced cost -1 with no finite upper bound to flip to, so
+  // the basis cannot be made dual feasible — the engine must count one
+  // fallback and let the primal loop solve from the same basis.
   Model m;
   const int x = m.add_continuous(0, kInf, -1);
   m.add_le({{x, 1.0}}, 5.0);
-  const LpResult r = solve_with(m, LpAlgorithm::kDual);
+  SimplexEngine engine(m);
+  const std::vector<ColStatus> slack = {ColStatus::kAtLower,
+                                        ColStatus::kBasic};
+  const LpResult r = engine.solve(&slack);
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.obj, -5.0, 1e-8);
+  EXPECT_TRUE(r.warm_used);
   EXPECT_FALSE(r.dual_used);
   EXPECT_EQ(r.stats.dual_fallbacks, 1);
   EXPECT_EQ(r.stats.dual_iterations, 0);
+  expect_same(r, engine.solve(), "unrepairable");
 }
 
 TEST(DualSimplex, InfeasibleModelDetected) {
-  // sum(x) >= 10 over x in [0,1]^3 cannot be met. The null objective makes
-  // the slack basis trivially dual feasible, so the dual loop runs and the
-  // verdict (however it is certified) matches the primal one.
+  // sum(x) >= 10 over x in [0,1]^3 cannot be met. The null objective keeps
+  // the basis solved at sum(x) >= 1 dual feasible after the tightening, so
+  // the warm re-solve runs the dual loop and the verdict (however it is
+  // certified) matches a cold solve's.
   Model m;
   std::vector<std::pair<int, double>> row;
   for (int j = 0; j < 3; ++j) row.emplace_back(m.add_continuous(0, 1, 0), 1.0);
-  m.add_ge(std::move(row), 10.0);
-  const LpResult dual = solve_with(m, LpAlgorithm::kDual);
+  m.add_ge(std::move(row), 1.0);
+  SimplexEngine engine(m);
+  const LpResult root = engine.solve();
+  ASSERT_EQ(root.status, SolveStatus::kOptimal);
+  engine.set_row_bounds(0, 10.0, kInf);
+  const LpResult dual = engine.solve(&root.basis);
   EXPECT_EQ(dual.status, SolveStatus::kInfeasible);
   EXPECT_TRUE(dual.dual_used);
-  EXPECT_EQ(solve_with(m, LpAlgorithm::kPrimal).status,
-            SolveStatus::kInfeasible);
+  EXPECT_EQ(engine.solve().status, SolveStatus::kInfeasible);
 }
 
 TEST(DualSimplex, CountersFlowIntoStageStats) {
   const Model m = assignment_lp(11, 28, 10);
-  LpOptions opts;
-  opts.algorithm = LpAlgorithm::kAutoWarm;
-  SimplexEngine engine(m, opts);
+  SimplexEngine engine(m);
   const LpResult root = engine.solve();
   ASSERT_EQ(root.status, SolveStatus::kOptimal);
   EXPECT_GT(root.stats.refactorizations, 0);  // initial factorization counts
@@ -189,8 +176,9 @@ TEST(DualSimplex, CountersFlowIntoStageStats) {
   EXPECT_EQ(sum.dual_iterations, dual_pivots);  // operator+= accumulates
 }
 
-// B&B end-to-end determinism: the integer optimum must not depend on the LP
-// algorithm or the worker-thread count.
+// B&B end-to-end determinism: the integer optimum must not depend on the
+// worker-thread count, and must match the optimum recorded from a
+// single-thread run whose LPs were all forced through the primal loop.
 TEST(DualSimplexBnb, ObjectiveInvariantAcrossAlgorithmsAndThreads) {
   Rng rng(97);
   Model m;
@@ -206,31 +194,22 @@ TEST(DualSimplexBnb, ObjectiveInvariantAcrossAlgorithmsAndThreads) {
     m.add_le(std::move(row), 4.0 + rng.next_double() * 3.0);
   }
 
-  MipOptions ref_opts;
-  ref_opts.num_threads = 1;
-  ref_opts.lp.algorithm = LpAlgorithm::kPrimal;
-  const MipResult ref = solve_milp(m, ref_opts);
-  ASSERT_EQ(ref.status, SolveStatus::kOptimal);
-
-  for (const LpAlgorithm alg :
-       {LpAlgorithm::kPrimal, LpAlgorithm::kDual, LpAlgorithm::kAutoWarm}) {
-    for (const int threads : {1, 4}) {
-      MipOptions opts;
-      opts.num_threads = threads;
-      opts.lp.algorithm = alg;
-      const MipResult r = solve_milp(m, opts);
-      ASSERT_EQ(r.status, SolveStatus::kOptimal)
-          << to_string(alg) << " threads=" << threads;
-      EXPECT_NEAR(r.obj, ref.obj, 1e-6 * (1.0 + std::abs(ref.obj)))
-          << to_string(alg) << " threads=" << threads;
-    }
+  constexpr double kPinnedOptimum = 22.381100413582551;
+  for (const int threads : {1, 4}) {
+    MipOptions opts;
+    opts.num_threads = threads;
+    const MipResult r = solve_milp(m, opts);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal) << "threads=" << threads;
+    EXPECT_NEAR(r.obj, kPinnedOptimum,
+                1e-6 * (1.0 + std::abs(kPinnedOptimum)))
+        << "threads=" << threads;
   }
 }
 
 TEST(DualSimplexBnb, ChildSolvesUseDualUnderAutoWarm) {
-  // A fractional-LP knapsack forces real branching; with the default
-  // kAutoWarm every warm-started child re-solve may take the dual loop, and
-  // the aggregated node stats must show it actually did somewhere.
+  // A fractional-LP knapsack forces real branching; every warm-started
+  // child re-solve may take the dual loop, and the aggregated node stats
+  // must show it actually did somewhere.
   Rng rng(31);
   Model m;
   std::vector<std::pair<int, double>> row;

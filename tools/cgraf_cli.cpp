@@ -56,7 +56,7 @@ int usage(int code = 2) {
                "         [--strategy dive|fix-once|ilp|ls|portfolio]"
                " [--ls-seed S] [--ls-iters N] [--threads N]"
                " [--warm-probes on|off]\n"
-               "         [--lp-algorithm primal|dual|auto] [--verbose]\n"
+               "         [--verbose]\n"
                "  report --design FILE --floorplan FILE [--compare FILE]\n"
                "  lint   --design FILE --floorplan FILE [--st-target X]"
                " [--margin F] [--json] [--no-info]\n"
@@ -367,25 +367,6 @@ int cmd_remap(const Args& args) {
                  warm.c_str());
     return 1;
   }
-  // Simplex variant for every LP in the pipeline (probe chains, dives and
-  // B&B child re-solves). `auto` runs dual simplex on dual-feasible warm
-  // bases and primal otherwise; results are identical across all three,
-  // only the iteration/time profile moves.
-  const std::string algo = args.get_or("lp-algorithm", "auto");
-  milp::LpAlgorithm lp_algorithm;
-  if (algo == "primal") {
-    lp_algorithm = milp::LpAlgorithm::kPrimal;
-  } else if (algo == "dual") {
-    lp_algorithm = milp::LpAlgorithm::kDual;
-  } else if (algo == "auto") {
-    lp_algorithm = milp::LpAlgorithm::kAutoWarm;
-  } else {
-    std::fprintf(stderr, "unknown --lp-algorithm '%s' (primal|dual|auto)\n",
-                 algo.c_str());
-    return 1;
-  }
-  opts.solver.lp.algorithm = lp_algorithm;
-  opts.solver.mip.lp.algorithm = lp_algorithm;
   // --log-events: hand the pipeline the process-wide event log; the
   // remapper propagates the pointer down to the ST search, probe sessions
   // and every LP/B&B solve. A disabled log costs nothing here.
@@ -400,8 +381,8 @@ int cmd_remap(const Args& args) {
   }
   std::printf("wrote %s\n", out->c_str());
   if (args.has("verbose")) {
-    // The last solve's counters, including which simplex variant ran and
-    // how much of the work the dual loop carried.
+    // The last solve's counters, including how much of the LP work the
+    // dual loop carried on warm re-solves.
     std::printf("%s", core::format_solver_stats(result.last_solve).c_str());
   }
   std::printf("strategy: %s", core::to_string(opts.strategy));
@@ -778,8 +759,7 @@ int main(int argc, char** argv) {
     } else if (cmd == "remap") {
       args.check_allowed({"design", "floorplan", "out", "mode", "margin",
                           "seed", "strategy", "ls-seed", "ls-iters",
-                          "threads", "warm-probes", "lp-algorithm",
-                          "verbose"});
+                          "threads", "warm-probes", "verbose"});
     } else if (cmd == "report") {
       args.check_allowed({"design", "floorplan", "compare"});
     } else if (cmd == "lint") {

@@ -6,7 +6,9 @@
 # Runs gen -> place -> remap --log-events -> analyze --chrome-trace. Every
 # step must exit 0 and the trace must hold the remap as an 'X' span named
 # remap.end. analyze reads a log and writes none, so --log-events must be
-# rejected there as an unknown option (exit 2).
+# rejected there as an unknown option (exit 2). The simplex has a single
+# configuration, so remap must reject a flag that picks a simplex variant
+# the same way, before it writes anything.
 
 # Runs the command in ARGN and fails unless it exits with `expected`.
 function(expect_exit expected)
@@ -40,4 +42,12 @@ expect_exit(2 "${CLI}" analyze "${WORK}/events.jsonl"
 if(EXISTS "${WORK}/x.jsonl")
   message(FATAL_ERROR "analyze wrote ${WORK}/x.jsonl despite rejecting "
                       "--log-events")
+endif()
+
+expect_exit(2 "${CLI}" remap --design "${WORK}/d.cgraf"
+            --floorplan "${WORK}/base.fp" --lp-algorithm auto
+            --out "${WORK}/x.fp")
+if(EXISTS "${WORK}/x.fp")
+  message(FATAL_ERROR "remap wrote ${WORK}/x.fp despite rejecting an "
+                      "unknown option")
 endif()

@@ -1,6 +1,7 @@
 // Reproduces Table I: MTTF increase (x) of the aging-aware floorplan over
 // the aging-unaware baseline for the 27-benchmark suite, with the Freeze
-// and Rotate variants and the per-usage-band averages.
+// and Rotate variants and the per-usage-band averages, then Fig. 5: the same
+// Rotate gains grouped by configuration "C<contexts>F<fabric-dim>".
 //
 // Usage: table1_mttf [--paper-scale] [--band low|medium|high] [--max-dim N]
 //   --paper-scale  use the paper's fabrics {4x4, 8x8, 16x16} (slow; see
@@ -57,5 +58,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n%s\n", cgraf::core::format_table1(runs).c_str());
+
+  // The shape notes are the paper's narrative, reported, not asserted.
+  std::printf("== Fig. 5: MTTF increase (x) by configuration ==\n\n%s\n"
+              "shape notes: gains should fall from the 'low' to the 'high'"
+              " column,\nand rise from C4 rows to C16 rows within a fabric"
+              " size.\n",
+              cgraf::core::format_fig5(runs).c_str());
   return 0;
 }

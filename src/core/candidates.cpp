@@ -74,13 +74,10 @@ std::vector<std::vector<int>> compute_candidates(
       cand.push_back(orig_pe);
       continue;
     }
-    const Point orig = fabric.loc(orig_pe);
     const auto& occurrences = occ[static_cast<std::size_t>(op)];
     for (int pe = 0; pe < n_pes; ++pe) {
       if (pe == orig_pe) continue;  // added unconditionally below
       const Point p = fabric.loc(pe);
-      if (opts.radius_cap >= 0 && manhattan(p, orig) > opts.radius_cap)
-        continue;
       bool ok = true;
       for (const Occurrence& o : occurrences) {
         double contribution = 0.0;

@@ -18,9 +18,6 @@
 namespace cgraf::core {
 
 struct CandidateOptions {
-  // Optional hard cap on Manhattan distance from the op's current PE
-  // (paper-scale escape hatch); -1 disables the cap.
-  int radius_cap = -1;
   // Loosens the per-path slack test: a candidate passes if its single-op
   // wire contribution is within slack_multiplier x the path's allowance
   // plus slack_additive wire units. Values > 1 / > 0 admit candidates that

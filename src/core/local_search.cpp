@@ -7,6 +7,7 @@
 #include "util/clock.h"
 #include "util/geometry.h"
 #include "util/rng.h"
+#include "verify/certify.h"
 
 namespace cgraf::core {
 
@@ -325,6 +326,10 @@ void LsState::swap_ops(int a, int b) {
 
 namespace {
 
+// A move touching an op accepted fewer than this many iterations ago is tabu
+// unless it improves on the best score seen (aspiration).
+constexpr int kTabuTenure = 16;
+
 // Deterministic per-restart stream: splitmix-style mix of seed and index.
 std::uint64_t mix_seed(std::uint64_t seed, int restart) {
   std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL *
@@ -435,7 +440,7 @@ LocalSearchResult local_search_remap(const RemapModelSpec& spec,
     if (have_best && cur_score >= best_score - LsState::kMinImprove) return;
     ++res.stats.oracle_calls;
     const verify::Certificate cert =
-        verify::certify_floorplan(fspec, state.floorplan(), opts.tol);
+        verify::certify_floorplan(fspec, state.floorplan());
     if (!cert.ok) {
       ++res.stats.oracle_rejections;
       return;
@@ -509,7 +514,7 @@ LocalSearchResult local_search_remap(const RemapModelSpec& spec,
 
     // Tabu recency: iteration of the last accepted move touching each op.
     std::vector<long> last_touch(static_cast<std::size_t>(n_ops),
-                                 -static_cast<long>(opts.tabu_tenure) - 1);
+                                 -static_cast<long>(kTabuTenure) - 1);
     for (long iter = 0; iter < opts.max_iters; ++iter) {
       if ((iter & 63) == 0 && should_stop()) {
         stop = true;
@@ -518,7 +523,7 @@ LocalSearchResult local_search_remap(const RemapModelSpec& spec,
       ++res.stats.moves_examined;
       auto tabu = [&](int op) {
         return iter - last_touch[static_cast<std::size_t>(op)] <=
-               opts.tabu_tenure;
+               kTabuTenure;
       };
       auto aspirates = [&](double delta) {
         return !have_best ||

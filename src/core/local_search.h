@@ -26,7 +26,6 @@
 #include "cgrra/floorplan.h"
 #include "core/model_builder.h"
 #include "obs/event_log.h"
-#include "verify/certify.h"
 
 namespace cgraf::core {
 
@@ -36,15 +35,10 @@ struct LocalSearchOptions {
   int max_iters = 2000;
   // Total descent starts: 1 from the base binding + (restarts-1) kicked.
   int restarts = 4;
-  // A move touching an op accepted fewer than this many iterations ago is
-  // tabu unless it improves on the best score seen (aspiration).
-  int tabu_tenure = 16;
   double time_limit_s = 1e18;
   // Cooperative cancellation (the portfolio race raises it); checked every
   // few iterations. Not owned — must outlive the search.
   const std::atomic<bool>* cancel = nullptr;
-  // Tolerances handed to the certify_floorplan oracle.
-  verify::CertifyOptions tol;
   // Structured solve-event log; one "ls.search" summary record per call.
   obs::EventLog* events = nullptr;
 };

@@ -13,9 +13,8 @@ ProbeSession::ProbeSession(RemapModelSpec spec, TwoStepOptions solver,
                            bool warm)
     : spec_(std::move(spec)), solver_(std::move(solver)), warm_(warm) {
   CGRAF_ASSERT(spec_.design != nullptr && spec_.base != nullptr);
-  // Either plumbing route reaches the persistent LP engine and the nested
-  // two-step solves alike.
-  if (solver_.events == nullptr) solver_.events = solver_.lp.events;
+  // The session's sink reaches the persistent LP engine as well as the
+  // nested two-step solves.
   if (solver_.lp.events == nullptr) solver_.lp.events = solver_.events;
 }
 
@@ -96,8 +95,8 @@ TwoStepResult ProbeSession::solve_lp_probe() {
   // verdict is independently certified (integrality waived).
   res.status = milp::SolveStatus::kOptimal;
   if (solver_.verify.enabled) {
-    const verify::Certificate cert = verify::certify_solution(
-        rm_.model, lp.x, solver_.verify.tol, /*relaxed=*/true);
+    const verify::Certificate cert =
+        verify::certify_solution(rm_.model, lp.x, {}, /*relaxed=*/true);
     if (cert.ok) {
       res.certified = true;
     } else {

@@ -13,13 +13,19 @@
 #include "verify/input_lint.h"
 
 namespace cgraf::core {
+namespace {
+
+// Algorithm 1's fixed search parameters (see RemapOptions::max_outer_iters).
+constexpr double kDeltaFrac = 0.05;
+constexpr int kPresearchProbes = 6;
+constexpr int kRefineProbes = 3;
+
+}  // namespace
 
 RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
                               const RemapOptions& opts) {
   const double t_start = now_seconds();
-  obs::EventLog* const events = opts.solver.events != nullptr
-                                    ? opts.solver.events
-                                    : opts.solver.lp.events;
+  obs::EventLog* const events = opts.solver.events;
   obs::Event(events, "remap.begin")
       .arg("ops", design.num_ops())
       .arg("contexts", design.num_contexts)
@@ -125,8 +131,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     fspec.st_target = res.st_max_before;
     fspec.monitored = &monitored;
     fspec.cpd_ns = res.cpd_before_ns;
-    res.certified =
-        verify::certify_floorplan(fspec, baseline, opts.verify.tol).ok;
+    res.certified = verify::certify_floorplan(fspec, baseline).ok;
   };
 
   // Incremental-probe accounting, folded in from every session the flow
@@ -162,7 +167,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
   res.probe_model_rebuilds += st.model_rebuilds;
   res.st_target_initial = st.st_target;
   const double delta = std::max(
-      1e-9, opts.delta_frac * std::max(1e-12, st.st_up - st.st_low));
+      1e-9, kDeltaFrac * std::max(1e-12, st.st_up - st.st_low));
 
   // --- Step 2.3: Delta-relaxation loop, re-drawing rotations if needed.
   const int rotation_rounds =
@@ -214,63 +219,56 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         design, base, frozen, monitored, res.cpd_before_ns, cand_opts);
     filter_blocked(candidates);
 
-    double st_target = std::max(res.st_target_initial, 1e-12);
-    if (opts.lp_presearch) {
-      TwoStepOptions probe_opts = opts.solver;
-      probe_opts.lp_only = true;
-      // Smallest LP-feasible target (with path constraints) for a given
-      // frozen geometry: the start of the Delta loop. One probe session per
-      // geometry — its probes differ only in the stress rows' RHS.
-      auto presearch = [&](const Floorplan& b,
-                           const std::vector<std::vector<int>>& cand) {
-        RemapModelSpec spec;
-        spec.design = &design;
-        spec.base = &b;
-        spec.frozen = frozen;
-        spec.candidates = cand;
-        spec.monitored = &monitored;
-        spec.cpd_ns = res.cpd_before_ns;
-        spec.objective = ObjectiveMode::kNull;  // feasibility only
-        ProbeSession session(std::move(spec), probe_opts, opts.warm_probes);
-        auto lp_feasible = [&](double target) {
-          return session.solve(target).status == milp::SolveStatus::kOptimal;
-        };
-        double lo = std::max(res.st_target_initial, 1e-12);
-        double found = lo;
-        if (!lp_feasible(lo)) {
-          double hi = res.st_max_before;
-          for (int probe = 0; probe < opts.lp_presearch_probes; ++probe) {
-            const double mid = 0.5 * (lo + hi);
-            if (lp_feasible(mid)) hi = mid;
-            else lo = mid;
-          }
-          found = hi;
-        }
-        fold_session(session.stats());
-        return found;
+    TwoStepOptions probe_opts = opts.solver;
+    probe_opts.lp_only = true;
+    // Smallest LP-feasible target (with path constraints) for a given frozen
+    // geometry: the start of the Delta loop, which alone would need
+    // O(1/kDeltaFrac) integer attempts to get there. One probe session per
+    // geometry — its probes differ only in the stress rows' RHS.
+    auto presearch = [&](const Floorplan& b,
+                         const std::vector<std::vector<int>>& cand) {
+      RemapModelSpec spec;
+      spec.design = &design;
+      spec.base = &b;
+      spec.frozen = frozen;
+      spec.candidates = cand;
+      spec.monitored = &monitored;
+      spec.cpd_ns = res.cpd_before_ns;
+      spec.objective = ObjectiveMode::kNull;  // feasibility only
+      ProbeSession session(std::move(spec), probe_opts, opts.warm_probes);
+      auto lp_feasible = [&](double target) {
+        return session.solve(target).status == milp::SolveStatus::kOptimal;
       };
-      st_target = presearch(base, candidates);
-      if (opts.mode == RemapMode::kRotate && round == 0) {
-        // The overlap score is only a proxy: on small fabrics with many
-        // contexts a rotation that spreads the frozen groups can *hurt*
-        // the reachable balance. Compare against the un-rotated geometry
-        // by the quantity that matters and keep the better plan.
-        std::vector<std::vector<int>> id_cand =
-            compute_candidates(design, baseline, frozen, monitored,
-                               res.cpd_before_ns, cand_opts);
-        filter_blocked(id_cand);
-        const double id_target = presearch(baseline, id_cand);
-        if (id_target < st_target - 1e-12) {
-          base = baseline;
-          candidates = id_cand;
-          st_target = id_target;
-          obs::Progress::global().logf(
-              opts.verbose, "  [remap] identity geometry wins presearch");
-        }
+      const double lo = std::max(res.st_target_initial, 1e-12);
+      const double found =
+          lp_feasible(lo) ? lo
+                          : bisect_st_target(lo, res.st_max_before,
+                                             kPresearchProbes, 0.0,
+                                             lp_feasible);
+      fold_session(session.stats());
+      return found;
+    };
+    double st_target = presearch(base, candidates);
+    if (opts.mode == RemapMode::kRotate && round == 0) {
+      // The overlap score is only a proxy: on small fabrics with many
+      // contexts a rotation that spreads the frozen groups can *hurt* the
+      // reachable balance. Compare against the un-rotated geometry by the
+      // quantity that matters and keep the better plan.
+      std::vector<std::vector<int>> id_cand =
+          compute_candidates(design, baseline, frozen, monitored,
+                             res.cpd_before_ns, cand_opts);
+      filter_blocked(id_cand);
+      const double id_target = presearch(baseline, id_cand);
+      if (id_target < st_target - 1e-12) {
+        base = baseline;
+        candidates = id_cand;
+        st_target = id_target;
+        obs::Progress::global().logf(
+            opts.verbose, "  [remap] identity geometry wins presearch");
       }
-      obs::Progress::global().logf(
-          opts.verbose, "  [remap] lp presearch -> st_target=%.4f", st_target);
     }
+    obs::Progress::global().logf(
+        opts.verbose, "  [remap] lp presearch -> st_target=%.4f", st_target);
 
     TwoStepOptions solver_opts = opts.solver;
     // Exact strategies drive the rounding mode from the strategy table
@@ -330,7 +328,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
                      (0x9e3779b97f4a7c15ULL *
                       static_cast<std::uint64_t>(res.outer_iterations));
       if (ls_opts.events == nullptr) ls_opts.events = events;
-      if (opts.verify.enabled) ls_opts.tol = opts.verify.tol;
 
       if (opts.strategy == SolveStrategy::kLocalSearch) {
         heur_spec.st_target = target;
@@ -383,8 +380,8 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
           fspec.st_target = target;
           fspec.monitored = &monitored;
           fspec.cpd_ns = res.cpd_before_ns;
-          const verify::Certificate cert = verify::certify_floorplan(
-              fspec, solved_fp, opts.verify.tol);
+          const verify::Certificate cert =
+              verify::certify_floorplan(fspec, solved_fp);
           if (!cert.ok) {
             ++res.certify_rejections;
             obs::Progress::global().logf(
@@ -444,19 +441,12 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     }
 
     if (found_at >= 0.0) {
-      // Bisect back toward the last failure to tighten the balance.
-      for (int probe = 0; probe < opts.refine_probes; ++probe) {
-        if (last_fail < 0.0 || found_at - last_fail <= delta) break;
-        const double mid = 0.5 * (last_fail + found_at);
-        Floorplan better;
-        double better_cpd = 0.0;
-        if (attempt(mid, better, better_cpd)) {
-          found = std::move(better);
-          found_cpd = better_cpd;
-          found_at = mid;
-        } else {
-          last_fail = mid;
-        }
+      // Bisect back toward the last failure to tighten the balance; a
+      // failed attempt leaves `found` untouched.
+      if (last_fail >= 0.0) {
+        found_at = bisect_st_target(
+            last_fail, found_at, kRefineProbes, delta,
+            [&](double target) { return attempt(target, found, found_cpd); });
       }
       fold_session(attempt_session.stats());
 

@@ -47,19 +47,11 @@ struct RemapOptions {
   // union).
   int max_critical_paths_per_context = 8;
 
-  // Step 2.3: st_target relaxation step Delta, as a fraction of
-  // (ST_up - ST_low), and the outer-iteration budget.
-  double delta_frac = 0.05;
+  // Step 2.3's outer-iteration budget. The loop's fixed parameters are
+  // remapper.cpp constants: a 6-probe LP presearch picks its start
+  // (kPresearchProbes), Delta is 5% of ST_up - ST_low (kDeltaFrac), and up
+  // to 3 bisection attempts refine the result (kRefineProbes).
   int max_outer_iters = 40;
-  // Before the Delta loop, binary-search the smallest st_target whose LP
-  // relaxation (with path constraints) is feasible, and start there. Pure
-  // speed optimization: the Delta loop would reach the same value in
-  // O(1/delta_frac) expensive integer attempts.
-  bool lp_presearch = true;
-  int lp_presearch_probes = 6;
-  // After the first successful target, bisect back toward the last failed
-  // one up to this many times to tighten the achieved balance.
-  int refine_probes = 3;
 
   // Step 2.1 rotation controls.
   int rotation_restarts = 12;
@@ -106,8 +98,8 @@ struct RemapOptions {
   // each attempt's floorplan is re-validated straight from the cgrra data
   // model (exclusivity, stress <= st_target, frozen ops pinned, monitored
   // paths within budget) and the solver-level solution certificate is
-  // enabled too. Attempts that fail certification are rejected as if
-  // infeasible.
+  // enabled too, both at the certifier's default tolerances. Attempts that
+  // fail certification are rejected as if infeasible.
   verify::VerifyOptions verify;
 };
 

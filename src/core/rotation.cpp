@@ -9,6 +9,10 @@
 namespace cgraf::core {
 namespace {
 
+// Enumerate all 8^C orientation combinations exactly when there are at most
+// this many (C <= 4); beyond that, use the randomized diversity-rule draw.
+constexpr long kExhaustiveLimit = 4096;
+
 // The paper's orientation-diversity rule for one draw: a multiset of C
 // orientations in which, for C <= 8, all entries are distinct, and for
 // C > 8, every orientation appears floor(C/8) times with the remainder
@@ -132,8 +136,7 @@ RotationResult rotate_critical_paths(
   // full Step-2.1 search space).
   double combos = 1.0;
   for (int c = 0; c < design.num_contexts; ++c) combos *= 8.0;
-  if (opts.exhaustive_limit > 0 &&
-      combos <= static_cast<double>(opts.exhaustive_limit)) {
+  if (combos <= static_cast<double>(kExhaustiveLimit)) {
     RotationResult best;
     std::vector<int> orientations(
         static_cast<std::size_t>(design.num_contexts), 0);

@@ -8,7 +8,10 @@
 // diversity rule: with <= 8 contexts all orientations differ; beyond 8,
 // each orientation appears floor(C/8) or floor(C/8)+1 times. Among random
 // draws respecting the rule, the plan with the smallest stress-weighted
-// overlap of frozen PEs across contexts wins.
+// overlap of frozen PEs across contexts wins. When 8^C is at most 4096
+// (C <= 4, rotation.cpp's kExhaustiveLimit), all 8^C combinations — the
+// paper's full scheme, whose runtime blow-up it notes — are enumerated
+// exactly and the minimum-overlap plan wins instead.
 #pragma once
 
 #include <cstdint>
@@ -23,11 +26,6 @@ namespace cgraf::core {
 struct RotationOptions {
   int restarts = 12;
   std::uint64_t seed = 1;
-  // The paper's full scheme considers all 8^C orientation combinations but
-  // notes the 8^C runtime blow-up; when 8^C fits under this limit the
-  // combinations are enumerated exactly (minimum-overlap plan), otherwise
-  // the randomized diversity-rule draw is used. 0 disables enumeration.
-  long exhaustive_limit = 4096;  // covers C <= 4
 };
 
 struct RotationResult {

@@ -10,13 +10,29 @@
 #include "verify/input_lint.h"
 
 namespace cgraf::core {
+namespace {
+
+// Step 1's stopping rule: at most kProbes bisection probes, or a bracket
+// narrower than kTolFrac * (ST_up - ST_low).
+constexpr int kProbes = 16;
+constexpr double kTolFrac = 0.02;
+
+}  // namespace
+
+double bisect_st_target(double lo, double hi, int max_probes, double tol,
+                        const std::function<bool(double)>& feasible) {
+  for (int i = 0; i < max_probes && hi - lo > tol; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (feasible(mid)) hi = mid;
+    else lo = mid;
+  }
+  return hi;
+}
 
 StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
                               const StTargetOptions& opts) {
   const double t_start = now_seconds();
-  obs::EventLog* const events = opts.solver.events != nullptr
-                                    ? opts.solver.events
-                                    : opts.solver.lp.events;
+  obs::EventLog* const events = opts.solver.events;
   StTargetResult res;
   // Input boundary: compute_stress and the model build below index the
   // design freely, so garbage must be turned away first (DL rule errors).
@@ -86,7 +102,7 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
       fspec.design = &design;
       fspec.st_target = target;
       const verify::Certificate cert =
-          verify::certify_floorplan(fspec, r.floorplan, solver.verify.tol);
+          verify::certify_floorplan(fspec, r.floorplan);
       if (!cert.ok) {
         ++res.certify_failures;
         ok = false;
@@ -101,47 +117,31 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
     return ok;
   };
 
-  const auto finish = [&] {
-    const ProbeSessionStats& ps = session.stats();
-    res.warm_hits = ps.warm_hits;
-    res.basis_fallbacks = ps.basis_fallbacks;
-    res.model_rebuilds = ps.model_rebuilds;
-    obs::Event ev(events, "st.search_end");
-    if (ev.active()) {
-      ev.arg("st_target", res.st_target)
-          .arg("probes", static_cast<long>(res.probes))
-          .arg("warm_hits", static_cast<long>(ps.warm_hits))
-          .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
-          .arg("lp_iterations", res.lp_iterations)
-          .arg("certify_failures", static_cast<long>(res.certify_failures))
-          .arg("seconds", now_seconds() - t_start);
-    }
-  };
-
-  double lo = res.st_low;
-  double hi = res.st_up;  // the baseline itself proves feasibility here
   // The average is usually infeasible (perfect balance is rarely integral);
-  // probe it once so a feasible ST_low short-circuits the search.
-  if (feasible(lo)) {
-    res.ok = true;
-    res.st_target = lo;
-    finish();
-    return res;
-  }
-  const double tol = std::max(1e-9, opts.tol_frac * (res.st_up - res.st_low));
-  double best = hi;
-  for (int it = 0; it < opts.max_iters && hi - lo > tol; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (feasible(mid)) {
-      best = mid;
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
+  // probe it once so a feasible ST_low short-circuits the search. The
+  // baseline itself proves ST_up feasible.
   res.ok = true;
-  res.st_target = best;
-  finish();
+  res.st_target =
+      feasible(res.st_low)
+          ? res.st_low
+          : bisect_st_target(
+                res.st_low, res.st_up, kProbes,
+                std::max(1e-9, kTolFrac * (res.st_up - res.st_low)), feasible);
+
+  const ProbeSessionStats& ps = session.stats();
+  res.warm_hits = ps.warm_hits;
+  res.basis_fallbacks = ps.basis_fallbacks;
+  res.model_rebuilds = ps.model_rebuilds;
+  obs::Event ev(events, "st.search_end");
+  if (ev.active()) {
+    ev.arg("st_target", res.st_target)
+        .arg("probes", static_cast<long>(res.probes))
+        .arg("warm_hits", static_cast<long>(ps.warm_hits))
+        .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
+        .arg("lp_iterations", res.lp_iterations)
+        .arg("certify_failures", static_cast<long>(res.certify_failures))
+        .arg("seconds", now_seconds() - t_start);
+  }
   return res;
 }
 

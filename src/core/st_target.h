@@ -5,8 +5,12 @@
 // path-delay constraints is feasible. ST_up is the highest accumulated
 // stress of the aging-unaware floorplan; ST_low its fabric-wide average.
 // Because the delay constraints are ignored, the result is a lower bound on
-// any delay-feasible target (the paper's "initial value").
+// any delay-feasible target (the paper's "initial value"). After one probe
+// at ST_low it bisects for at most 16 probes (kProbes), stopping once the
+// bracket is narrower than 2% of ST_up - ST_low (kTolFrac).
 #pragma once
+
+#include <functional>
 
 #include "cgrra/design.h"
 #include "cgrra/floorplan.h"
@@ -15,9 +19,6 @@
 namespace cgraf::core {
 
 struct StTargetOptions {
-  // Stop when the bracket is narrower than tol_frac * (ST_up - ST_low).
-  double tol_frac = 0.02;
-  int max_iters = 16;
   // Feasibility oracle. Default: the LP relaxation only (fast, and the
   // searched value is explicitly a lower bound). Set confirm_with_ilp to
   // run the paper's full LP-round-ILP at each probe instead.
@@ -61,5 +62,12 @@ struct StTargetResult {
 
 StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
                               const StTargetOptions& opts = {});
+
+// The one ST_target bisection, shared by Step 1, the remapper's LP
+// presearch and its refinement: each probe moves `hi` (feasible) or `lo`
+// (infeasible) to the midpoint, until `max_probes` probes are made or
+// hi - lo <= tol (an empty bracket makes no probe). Returns `hi`.
+double bisect_st_target(double lo, double hi, int max_probes, double tol,
+                        const std::function<bool(double)>& feasible);
 
 }  // namespace cgraf::core

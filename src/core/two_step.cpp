@@ -13,6 +13,13 @@
 namespace cgraf::core {
 namespace {
 
+// The paper's pre-mapping threshold (the dive's and the one-shot fix's).
+constexpr double kRoundThreshold = 0.95;
+// kIterativeDive: when a fixing decision breaks LP feasibility, undo the
+// offending round and ban the forced variable, up to this many bans before
+// giving up on the current st_target.
+constexpr int kDiveBanBudget = 120;
+
 // Independent acceptance gate: re-validate the solution vector against the
 // *original* model (not the bound-tightened copy the solver ran on). A
 // failed certification rejects the result instead of shipping an illegal
@@ -22,7 +29,7 @@ bool certify_accept(const RemapModel& rm, const std::vector<double>& x,
                     TwoStepResult& res) {
   if (!opts.verify.enabled) return true;
   const verify::Certificate cert =
-      verify::certify_solution(rm.model, x, opts.verify.tol, relaxed);
+      verify::certify_solution(rm.model, x, {}, relaxed);
   if (cert.ok) {
     res.certified = true;
     return true;
@@ -110,7 +117,7 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
   };
   std::vector<Round> history;
   int bans = 0;
-  double threshold = opts.round_threshold;
+  double threshold = kRoundThreshold;
 
   milp::LpResult lp;
   // Warm-start every re-solve from the last feasible basis; phase 1
@@ -173,7 +180,7 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
       } else {
         threshold = std::min(0.999, 0.5 * (1.0 + threshold));
       }
-      if (bans > opts.dive_ban_budget) {
+      if (bans > kDiveBanBudget) {
         res.status = milp::SolveStatus::kNodeLimit;  // give up, unproven
         return !opts.bnb_fallback;
       }
@@ -239,16 +246,13 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
 
 TwoStepResult solve_two_step(const RemapModel& rm,
                              const TwoStepOptions& opts_in) {
-  // Local copy so the event-log sink reaches every nested solve: either
-  // plumbing route (opts.events or opts.lp.events) enables all of them.
+  // Local copy so the event-log sink and the cancel flag reach every nested
+  // solve; branch & bound passes both on to its node LPs itself.
   TwoStepOptions opts = opts_in;
-  if (opts.events == nullptr) opts.events = opts.lp.events;
   if (opts.lp.events == nullptr) opts.lp.events = opts.events;
   if (opts.mip.events == nullptr) opts.mip.events = opts.events;
-  if (opts.mip.lp.events == nullptr) opts.mip.lp.events = opts.events;
   if (opts.lp.cancel == nullptr) opts.lp.cancel = opts.cancel;
   if (opts.mip.cancel == nullptr) opts.mip.cancel = opts.cancel;
-  if (opts.mip.lp.cancel == nullptr) opts.mip.lp.cancel = opts.cancel;
 
   const double t_start = now_seconds();
   TwoStepResult res;
@@ -333,7 +337,7 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   int fixed = 0;
   if (opts.strategy == RoundingStrategy::kThresholdFixOnce) {
     for (int v = 0; v < rm.num_binary_vars; ++v) {
-      if (lp.x[static_cast<std::size_t>(v)] > opts.round_threshold) {
+      if (lp.x[static_cast<std::size_t>(v)] > kRoundThreshold) {
         fixed_model.set_bounds(v, 1.0, 1.0);
         ++fixed;
       }

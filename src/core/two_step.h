@@ -32,11 +32,6 @@ enum class RoundingStrategy {
 
 struct TwoStepOptions {
   RoundingStrategy strategy = RoundingStrategy::kIterativeDive;
-  double round_threshold = 0.95;
-  // kIterativeDive: when a fixing decision breaks LP feasibility, undo the
-  // offending round and ban the forced variable, up to this many bans
-  // before giving up on the current st_target.
-  int dive_ban_budget = 120;
   // Re-solve dead-ended dives with full branch & bound (expensive; the
   // Delta relaxation of Algorithm 1 usually recovers more cheaply).
   bool bnb_fallback = false;
@@ -59,15 +54,15 @@ struct TwoStepOptions {
   // rejected: the result degrades to kNumericalError instead of shipping an
   // illegal floorplan.
   verify::VerifyOptions verify;
-  // Structured solve-event log (obs/event_log.h). Propagated into lp.events
-  // and mip.events (and mip.lp.events) when those are unset, so one pointer
-  // here covers every LP and B&B solve underneath, plus a "twostep.solve"
-  // summary record per call.
+  // Structured solve-event log (obs/event_log.h). Copied into lp.events and
+  // mip.events when those are unset (B&B hands it to its node LPs), so one
+  // pointer here covers every LP and B&B solve underneath, plus a
+  // "twostep.solve" summary record per call.
   obs::EventLog* events = nullptr;
-  // Cooperative cancellation, propagated the same way into lp.cancel,
-  // mip.cancel and mip.lp.cancel and checked between dive rounds. A
-  // cancelled solve reports SolveStatus::kCancelled (the portfolio race
-  // raises it to stop the losing side).
+  // Cooperative cancellation, copied the same way into lp.cancel and
+  // mip.cancel and checked between dive rounds. A cancelled solve reports
+  // SolveStatus::kCancelled (the portfolio race raises it to stop the
+  // losing side).
   const std::atomic<bool>* cancel = nullptr;
 };
 

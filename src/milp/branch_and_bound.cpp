@@ -17,6 +17,10 @@
 namespace cgraf::milp {
 namespace {
 
+// Integrality tolerance, and the relative gap still reported as kOptimal.
+constexpr double kIntTol = 1e-6;
+constexpr double kRelGap = 1e-6;
+
 // A bound change relative to the parent node; nodes share ancestry chains.
 struct Delta {
   int var;
@@ -130,10 +134,8 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     return r;
   }
 
-  // Solve-event log: either plumbing route (MipOptions::events or
-  // LpOptions::events) enables the whole record family.
-  obs::EventLog* const events =
-      opts.events != nullptr ? opts.events : opts.lp.events;
+  // Solve-event log: MipOptions::events enables the whole record family.
+  obs::EventLog* const events = opts.events;
   obs::Event(events, "bnb.begin")
       .arg("vars", static_cast<long>(model.num_vars()))
       .arg("rows", static_cast<long>(model.num_constraints()))
@@ -160,9 +162,9 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
   std::vector<double> root_ub(proto.model_ub());
   for (const int j : int_vars) {
     root_lb[static_cast<size_t>(j)] =
-        std::ceil(root_lb[static_cast<size_t>(j)] - opts.int_tol);
+        std::ceil(root_lb[static_cast<size_t>(j)] - kIntTol);
     root_ub[static_cast<size_t>(j)] =
-        std::floor(root_ub[static_cast<size_t>(j)] + opts.int_tol);
+        std::floor(root_ub[static_cast<size_t>(j)] + kIntTol);
     if (root_lb[static_cast<size_t>(j)] > root_ub[static_cast<size_t>(j)]) {
       res.status = SolveStatus::kInfeasible;
       res.seconds = now_seconds() - t_start;
@@ -171,7 +173,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
   }
 
   // Validate the heuristic incumbent seed before the tree opens: integral
-  // within int_tol, inside the (rounded-inward) root bounds, and feasible
+  // within kIntTol, inside the (rounded-inward) root bounds, and feasible
   // under the same 10x tol_feas gate round_candidate applies to its own
   // candidates. A valid seed becomes the opening incumbent, so best-bound
   // pruning cuts against its objective from the first node; it never
@@ -185,7 +187,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     for (const int j : int_vars) {
       double& v = seed_x[static_cast<size_t>(j)];
       const double r = std::round(v);
-      if (std::abs(v - r) > opts.int_tol) {
+      if (std::abs(v - r) > kIntTol) {
         ok = false;
         break;
       }
@@ -331,7 +333,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
 
       if (lp.status == SolveStatus::kOptimal) {
         // Find the most fractional integer variable.
-        double best_frac_dist = opts.int_tol;
+        double best_frac_dist = kIntTol;
         for (const int j : int_vars) {
           const double v = lp.x[static_cast<size_t>(j)];
           const double dist = std::abs(v - std::round(v));
@@ -504,7 +506,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     const double gap = sh.incumbent_internal - bb;
     const bool gap_closed =
         gap <= opts.abs_gap ||
-        gap <= opts.rel_gap * std::max(1.0, std::abs(sh.incumbent_internal));
+        gap <= kRelGap * std::max(1.0, std::abs(sh.incumbent_internal));
     res.status = (exhausted && !sh.proof_incomplete) || gap_closed
                      ? SolveStatus::kOptimal
                      : SolveStatus::kFeasible;

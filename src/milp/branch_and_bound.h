@@ -22,9 +22,7 @@ struct MipOptions {
   LpOptions lp;
   double time_limit_s = 1e18;
   long max_nodes = 200000;
-  double int_tol = 1e-6;   // |x - round(x)| below this counts as integral
   double abs_gap = 1e-9;
-  double rel_gap = 1e-6;
   // Stop as soon as any integer-feasible point is found (for pure
   // feasibility models such as the paper's "ObjFunc: Null" formulation).
   bool stop_at_first_incumbent = false;
@@ -38,11 +36,10 @@ struct MipOptions {
   int num_threads = 0;
   // Structured solve-event log (obs/event_log.h). When set, the search
   // emits bnb.begin/bnb.node/bnb.incumbent/bnb.pool_prune/bnb.end records
-  // and propagates the sink into every node LP (unless lp.events was
-  // already set explicitly).
+  // and hands the sink to every node LP.
   obs::EventLog* events = nullptr;
   // Heuristic incumbent seed (full-length structural vector, model space).
-  // When it validates — integral within int_tol, max constraint violation
+  // When it validates — integral within 1e-6, max constraint violation
   // within 10x lp.tol_feas — the search opens with it as the incumbent, so
   // best-bound pruning cuts against its objective from the first node. The
   // seed never satisfies stop_at_first_incumbent by itself: the tree still

@@ -82,11 +82,11 @@ struct FloorplanSpec {
 Certificate certify_floorplan(const FloorplanSpec& spec, const Floorplan& fp,
                               const CertifyOptions& opts = {});
 
-// Acceptance-path wiring knob: pipeline stages re-validate what they accept
-// when `enabled` is set, and reject results that fail certification.
+// Acceptance-path switch: pipeline stages re-validate what they accept (at
+// the default CertifyOptions tolerances) when `enabled` is set, and reject
+// results that fail certification.
 struct VerifyOptions {
   bool enabled = false;
-  CertifyOptions tol;
 };
 
 }  // namespace cgraf::verify

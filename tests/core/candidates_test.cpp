@@ -45,21 +45,6 @@ TEST(Candidates, UnmonitoredFreeOpsGetTheWholeFabric) {
     EXPECT_EQ(cands[static_cast<std::size_t>(op)].size(), 36u);
 }
 
-TEST(Candidates, RadiusCapLimitsDistance) {
-  const Design d = chain_design();
-  const Floorplan base{{0, 1, 2}};
-  const std::vector<char> frozen{0, 0, 0};
-  CandidateOptions opts;
-  opts.radius_cap = 2;
-  const auto cands = compute_candidates(d, base, frozen, {}, 10.0, opts);
-  for (int op = 0; op < 3; ++op) {
-    const Point orig = d.fabric.loc(base.pe_of(op));
-    for (const int pe : cands[static_cast<std::size_t>(op)])
-      EXPECT_LE(manhattan(d.fabric.loc(pe), orig), 2);
-    EXPECT_TRUE(contains(cands[static_cast<std::size_t>(op)], base.pe_of(op)));
-  }
-}
-
 TEST(Candidates, TightPathSlackPrunesFarPes) {
   const Design d = chain_design();
   const Floorplan base{{0, 1, 2}};  // a straight line, wires 1+1

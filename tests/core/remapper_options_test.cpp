@@ -21,7 +21,6 @@ TEST(RemapperOptions, ZeroOuterItersReturnsBaseline) {
   const auto bench = bench_for(1);
   RemapOptions opts;
   opts.max_outer_iters = 0;
-  opts.lp_presearch = false;
   opts.rotation_retries = 0;
   const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
   EXPECT_FALSE(r.improved);
@@ -51,41 +50,6 @@ TEST(RemapperOptions, ZeroMarginMonitorsOnlyCriticalPaths) {
   // The STA re-check protects the CPD regardless of the margin.
   EXPECT_LE(a.cpd_after_ns, a.cpd_before_ns + 1e-9);
   EXPECT_LE(b.cpd_after_ns, b.cpd_before_ns + 1e-9);
-}
-
-TEST(RemapperOptions, RadiusCapBoundsDisplacement) {
-  const auto bench = bench_for(4);
-  RemapOptions opts;
-  opts.mode = RemapMode::kFreeze;  // rotation moves frozen ops arbitrarily
-  opts.candidates.radius_cap = 2;
-  const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
-  for (const Operation& op : bench.design.ops) {
-    const int moved = manhattan(
-        bench.design.fabric.loc(bench.baseline.pe_of(op.id)),
-        bench.design.fabric.loc(r.floorplan.pe_of(op.id)));
-    EXPECT_LE(moved, 2) << "op " << op.id;
-  }
-}
-
-TEST(RemapperOptions, DisabledPresearchStillConverges) {
-  const auto bench = bench_for(5);
-  RemapOptions opts;
-  opts.lp_presearch = false;
-  const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
-  std::string why;
-  EXPECT_TRUE(is_valid(bench.design, r.floorplan, &why)) << why;
-  EXPECT_LE(r.cpd_after_ns, r.cpd_before_ns + 1e-9);
-}
-
-TEST(RemapperOptions, RefineProbesNeverHurt) {
-  const auto bench = bench_for(6);
-  RemapOptions none;
-  none.refine_probes = 0;
-  RemapOptions some;
-  some.refine_probes = 4;
-  const RemapResult a = aging_aware_remap(bench.design, bench.baseline, none);
-  const RemapResult b = aging_aware_remap(bench.design, bench.baseline, some);
-  EXPECT_LE(b.st_max_after, a.st_max_after + 1e-9);
 }
 
 TEST(RemapperOptions, ReportsSolverStatistics) {

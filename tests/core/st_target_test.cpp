@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+
 #include "cgrra/stress.h"
 #include "workloads/suite.h"
 
@@ -59,29 +63,75 @@ TEST(StTarget, LowerBoundIsActuallyFeasibleDelayUnaware) {
   EXPECT_LE(r.st_target, r.st_up);
 }
 
+// A monotone oracle: feasible exactly at targets >= threshold. Counts its
+// probes.
+struct ThresholdOracle {
+  double threshold;
+  int probes = 0;
+  bool operator()(double target) {
+    ++probes;
+    return target >= threshold;
+  }
+};
+
 TEST(StTarget, TighterToleranceNeverWorsensTheBound) {
-  const auto bench =
-      workloads::generate_benchmark(workloads::table1_specs(false)[4]);
-  StTargetOptions loose;
-  loose.tol_frac = 0.10;
-  StTargetOptions tight;
-  tight.tol_frac = 0.01;
-  tight.max_iters = 24;
+  ThresholdOracle loose_oracle{0.7316};
+  ThresholdOracle tight_oracle{0.7316};
   const double t_loose =
-      find_st_target(bench.design, bench.baseline, loose).st_target;
+      bisect_st_target(0.0, 1.0, 16, 0.10, std::ref(loose_oracle));
   const double t_tight =
-      find_st_target(bench.design, bench.baseline, tight).st_target;
+      bisect_st_target(0.0, 1.0, 24, 0.01, std::ref(tight_oracle));
+  EXPECT_GE(t_tight, 0.7316);
   EXPECT_LE(t_tight, t_loose + 1e-9);
+  EXPECT_GT(tight_oracle.probes, loose_oracle.probes);
 }
 
 TEST(StTarget, ProbeCountIsBounded) {
   const auto bench =
       workloads::generate_benchmark(workloads::table1_specs(false)[0]);
-  StTargetOptions opts;
-  opts.max_iters = 5;
-  const StTargetResult r = find_st_target(bench.design, bench.baseline, opts);
+  const StTargetResult r = find_st_target(bench.design, bench.baseline);
   ASSERT_TRUE(r.ok);
-  EXPECT_LE(r.probes, 5 + 1);  // initial ST_low probe + max_iters
+  EXPECT_LE(r.probes, 1 + 16);  // initial ST_low probe + 16 bisection probes
+  EXPECT_EQ(r.probes, static_cast<int>(r.probe_log.size()));
+
+  for (const int max_probes : {0, 1, 5, 16}) {
+    ThresholdOracle oracle{0.3};
+    bisect_st_target(0.0, 1.0, max_probes, 0.0, std::ref(oracle));
+    EXPECT_EQ(oracle.probes, max_probes);
+  }
+}
+
+TEST(StTarget, BisectEmptyBracketMakesNoProbe) {
+  ThresholdOracle oracle{0.0};
+  EXPECT_EQ(bisect_st_target(2.0, 2.0, 6, 0.0, std::ref(oracle)), 2.0);
+  EXPECT_EQ(bisect_st_target(3.0, 2.0, 6, 0.0, std::ref(oracle)), 2.0);
+  EXPECT_EQ(bisect_st_target(1.0, 2.0, 6, 1.0, std::ref(oracle)), 2.0);
+  EXPECT_EQ(oracle.probes, 0);
+}
+
+TEST(StTarget, BisectNeverFeasibleReturnsHi) {
+  ThresholdOracle never{1e300};
+  EXPECT_EQ(bisect_st_target(0.25, 4.0, 6, 0.0, std::ref(never)), 4.0);
+  EXPECT_EQ(never.probes, 6);
+}
+
+TEST(StTarget, BisectLandsWithinToleranceOfThreshold) {
+  const double lo = 1.0, hi = 3.0;
+  for (const double threshold : {1.001, 1.37, 2.0, 2.5, 2.999}) {
+    for (const int max_probes : {1, 3, 6, 16}) {
+      for (const double tol : {0.0, 0.04, 0.3}) {
+        SCOPED_TRACE(testing::Message() << threshold << " " << max_probes
+                                        << " " << tol);
+        ThresholdOracle oracle{threshold};
+        const double got =
+            bisect_st_target(lo, hi, max_probes, tol, std::ref(oracle));
+        const double width = (hi - lo) / std::ldexp(1.0, max_probes);
+        EXPECT_GE(got, threshold);
+        EXPECT_LE(got, threshold + std::max(tol, width));
+        EXPECT_LE(oracle.probes, max_probes);
+      }
+    }
+  }
 }
 
 }  // namespace

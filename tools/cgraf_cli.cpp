@@ -305,6 +305,8 @@ int cmd_remap(const Args& args) {
   opts.path_margin = *margin;
   opts.seed = std::strtoull(args.get_or("seed", "1").c_str(), nullptr, 10);
   opts.verbose = args.has("verbose");
+  // Every floorplan the CLI writes carries the independent certificate.
+  opts.verify.enabled = true;
   // Solve strategy, resolved through the one shared table
   // (core/strategy.h): exact rounding modes, the local-search heuristic,
   // or the portfolio race. `--strategy ilp --threads N` forces every
@@ -405,6 +407,7 @@ int cmd_remap(const Args& args) {
               result.st_max_after, result.mttf_before.mttf_years,
               result.mttf_after.mttf_years, result.mttf_gain);
   std::printf("%s\n", result.note.c_str());
+  std::printf("certified: %s\n", result.certified ? "yes" : "no");
   return result.improved ? 0 : 3;  // 3: valid but no improvement found
 }
 

@@ -20,7 +20,6 @@
 #include "obs/build_info.h"
 #include "obs/json_writer.h"
 #include "util/ascii.h"
-#include "util/clock.h"
 
 using namespace cgraf;
 
@@ -39,27 +38,7 @@ struct Row {
   core::TwoStepStats dive_stats;
   double dive_max_stress = 0.0;
   bool dive_certified = false;  // the dive ran with the certifier on
-  // Step-1 warm vs cold probe comparison (same binary search twice).
-  int st_probes = 0;
-  int st_warm_hits = 0;
-  double st_warm_seconds = 0.0;
-  double st_cold_seconds = 0.0;
-  double st_target_warm = 0.0;
-  double st_target_cold = 0.0;
-  std::vector<core::StProbe> probe_log;  // of the warm run
 };
-
-// Percentile over per-probe wall times (nearest-rank on the sorted log).
-double probe_pct(const std::vector<core::StProbe>& log, double q) {
-  if (log.empty()) return 0.0;
-  std::vector<double> s;
-  s.reserve(log.size());
-  for (const auto& p : log) s.push_back(p.seconds);
-  std::sort(s.begin(), s.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(s.size() - 1) + 0.5);
-  return s[std::min(idx, s.size() - 1)];
-}
 
 Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
             int threads) {
@@ -78,35 +57,11 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
   const auto candidates = core::compute_candidates(
       design, bench.baseline, frozen, monitored, sta.cpd_ns);
 
-  // Run Step 1's binary search twice — incremental warm-started probes vs
-  // the legacy cold rebuild per probe — to measure what the probe sessions
-  // buy. ILP-confirmed probes: the pure-LP search short-circuits at ST_low
-  // (a fractional assignment balances perfectly), so the integer-confirmed
-  // search is the one that actually bisects.
-  core::StTargetOptions st_opts;
-  st_opts.confirm_with_ilp = true;
-  st_opts.warm_probes = false;
-  const double t_cold = now_seconds();
-  const core::StTargetResult st_cold =
-      core::find_st_target(design, bench.baseline, st_opts);
-  const double cold_seconds = now_seconds() - t_cold;
-  st_opts.warm_probes = true;
-  const double t_warm = now_seconds();
+  // A mildly relaxed target so both solvers search a feasible region: the
+  // midpoint of Step 1's bracket [ST_low, ST_up].
   const core::StTargetResult st =
-      core::find_st_target(design, bench.baseline, st_opts);
-  const double warm_seconds = now_seconds() - t_warm;
-  if (st.st_target != st_cold.st_target) {
-    // Expected occasionally with ILP confirmation: the rounding dive is
-    // path-dependent, so a warm-started probe can round a degenerate LP
-    // optimum differently and flip a probe verdict. Both searches certify
-    // every accepted probe; pure-LP probes (the default) are identical.
-    std::fprintf(stderr,
-                 "note: warm/cold ILP-confirmed st_target differ on %s "
-                 "(%.4f vs %.4f)\n",
-                 spec.name.c_str(), st.st_target, st_cold.st_target);
-  }
-  // A mildly relaxed target so both solvers search a feasible region.
-  const double target = st.st_target + 0.35 * (st.st_up - st.st_target);
+      core::find_st_target(design, bench.baseline);
+  const double target = st.st_low + 0.5 * (st.st_up - st.st_low);
 
   core::RemapModelSpec mspec;
   mspec.design = &design;
@@ -123,13 +78,6 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
              std::to_string(spec.fabric_dim) + ", " +
              std::to_string(bench.total_ops) + " ops)";
   row.vars = rm.num_binary_vars;
-  row.st_probes = st.probes;
-  row.st_warm_hits = st.warm_hits;
-  row.st_warm_seconds = warm_seconds;
-  row.st_cold_seconds = cold_seconds;
-  row.st_target_warm = st.st_target;
-  row.st_target_cold = st_cold.st_target;
-  row.probe_log = st.probe_log;
 
   {  // One-shot ILP under a wall-clock budget.
     core::TwoStepOptions opts;
@@ -227,22 +175,6 @@ int main(int argc, char** argv) {
               rows.back().name.c_str(),
               core::format_solver_stats(rows.back().ilp_stats).c_str());
 
-  {  // Step-1 probe sessions: warm-started patches vs cold rebuilds.
-    double warm_total = 0.0, cold_total = 0.0;
-    int probes = 0, hits = 0;
-    for (const Row& row : rows) {
-      warm_total += row.st_warm_seconds;
-      cold_total += row.st_cold_seconds;
-      probes += row.st_probes;
-      hits += row.st_warm_hits;
-    }
-    std::printf(
-        "step-1 probe sessions: %d probes, %d warm hits; "
-        "warm %.2fs vs cold %.2fs (%.2fx)\n\n",
-        probes, hits, warm_total, cold_total,
-        cold_total / std::max(1e-9, warm_total));
-  }
-
   // One machine-readable line per instance for the BENCH_*.json trajectory.
   for (const Row& row : rows) {
     obs::JsonWriter w;
@@ -259,15 +191,6 @@ int main(int argc, char** argv) {
         .field("dive_wall_seconds", row.dive_seconds)
         .field("dive_max_stress", row.dive_max_stress)
         .field("dive_certified", row.dive_certified)
-        .field("st_probes", row.st_probes)
-        .field("st_warm_hits", row.st_warm_hits)
-        .field("st_warm_seconds", row.st_warm_seconds)
-        .field("st_cold_seconds", row.st_cold_seconds)
-        .field("st_target_warm", row.st_target_warm)
-        .field("st_target_cold", row.st_target_cold)
-        .field("st_probe_p50_s", probe_pct(row.probe_log, 0.50))
-        .field("st_probe_p90_s", probe_pct(row.probe_log, 0.90))
-        .field("st_probe_max_s", probe_pct(row.probe_log, 1.0))
         .raw_field("ilp", "{" + core::solver_stats_json(row.ilp_stats) + "}")
         .raw_field("dive",
                    "{" + core::solver_stats_json(row.dive_stats) + "}");

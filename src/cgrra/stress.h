@@ -16,8 +16,8 @@ struct StressMap {
   std::vector<std::vector<double>> per_context;
 
   double max_accumulated() const;
-  // Mean over *all* fabric PEs (the paper's ST_low in the Step-1 binary
-  // search), not just the used ones.
+  // Mean over *all* fabric PEs (the paper's ST_low, which Step 1 returns
+  // as its target), not just the used ones.
   double avg_accumulated() const;
   int argmax() const;
 };

@@ -49,7 +49,8 @@ struct RemapModelSpec {
   std::vector<std::vector<int>> candidates;   // per op (frozen: exactly 1)
   double st_target = 0.0;
   // Monitored paths (constraint set); nullptr disables path constraints
-  // (Step 1 of Algorithm 1 runs delay-unaware).
+  // (Step 1 of Algorithm 1 is delay-unaware; core/st_target.h takes that
+  // model's LP bound in closed form).
   const std::vector<timing::TimingPath>* monitored = nullptr;
   double cpd_ns = 0.0;  // budget reference; required when monitored != null
   ObjectiveMode objective = ObjectiveMode::kMinPerturbation;
@@ -84,7 +85,7 @@ struct RemapModel {
   std::vector<double> frozen_stress;  // per PE
 
   // Re-ranges the stress rows for a new target without rebuilding anything
-  // else — the incremental Step-1/Delta-loop probes lean on this. Returns
+  // else — the incremental presearch/Delta-loop probes lean on this. Returns
   // false (leaving the model at its previous target) when the new target is
   // trivially infeasible because a frozen PE's stress alone exceeds it; the
   // caller reports infeasibility without a solve, exactly as a cold rebuild

@@ -1,17 +1,16 @@
 // Incremental ST_target probe solving.
 //
-// Step 1's binary search, the remapper's LP presearch and its
-// Delta-relaxation retry loop all solve a *sequence* of near-identical
-// models: between two probes only the stress rows' right-hand side
-// (`ST_target`) changes. A ProbeSession builds the RemapModel once, patches
-// only those rows between probes (RemapModel::patch_st_target), keeps one
-// SimplexEngine alive across pure-LP probes so the computational form is
-// standardized once, and warm-starts every solve from the previous probe's
-// returned basis — falling back to the cold slack basis whenever the
-// chained basis is stale or its factorization singular. With warm == false
-// the session degrades to the legacy behavior (full rebuild + cold solve
-// per probe), which the differential tests and the `--warm-probes=off`
-// escape hatch rely on.
+// The remapper's LP presearch and its Delta-relaxation retry loop both
+// solve a *sequence* of near-identical models: between two probes only the
+// stress rows' right-hand side (`ST_target`) changes. A ProbeSession builds
+// the RemapModel once, patches only those rows between probes
+// (RemapModel::patch_st_target), keeps one SimplexEngine alive across
+// pure-LP probes so the computational form is standardized once, and
+// warm-starts every solve from the previous probe's returned basis —
+// falling back to the cold slack basis whenever the chained basis is stale
+// or its factorization singular. With warm == false the session degrades
+// to the legacy behavior (full rebuild + cold solve per probe), which the
+// differential tests and the `--warm-probes=off` escape hatch rely on.
 #pragma once
 
 #include <atomic>

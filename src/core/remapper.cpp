@@ -135,7 +135,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
   };
 
   // Incremental-probe accounting, folded in from every session the flow
-  // opens (Step 1's search, the presearch geometries, the Delta loop).
+  // opens (the presearch geometries and the Delta loop).
   auto fold_session = [&](const ProbeSessionStats& ps) {
     res.probe_warm_hits += ps.warm_hits;
     res.probe_basis_fallbacks += ps.basis_fallbacks;
@@ -157,15 +157,10 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
 
   // --- Step 1: delay-unaware stress-target lower bound.
   StTargetOptions st_opts = opts.st_search;
-  st_opts.warm_probes = opts.warm_probes;
-  // The Step-1 search usually carries its own solver options; route the
-  // remap-level event sink into it unless one was set there explicitly.
+  // Route the remap-level event sink into Step 1 unless one was set there
+  // explicitly.
   if (st_opts.solver.events == nullptr) st_opts.solver.events = events;
   const StTargetResult st = find_st_target(design, baseline, st_opts);
-  res.probe_warm_hits += st.warm_hits;
-  res.probe_basis_fallbacks += st.basis_fallbacks;
-  res.probe_model_rebuilds += st.model_rebuilds;
-  res.st_target_initial = st.st_target;
   const double delta = std::max(
       1e-9, kDeltaFrac * std::max(1e-12, st.st_up - st.st_low));
 
@@ -239,7 +234,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       auto lp_feasible = [&](double target) {
         return session.solve(target).status == milp::SolveStatus::kOptimal;
       };
-      const double lo = std::max(res.st_target_initial, 1e-12);
+      const double lo = std::max(st.st_target, 1e-12);
       const double found =
           lp_feasible(lo) ? lo
                           : bisect_st_target(lo, res.st_max_before,

@@ -1,8 +1,8 @@
 // Algorithm 1: the aging-aware re-mapping design flow (the paper's main
-// contribution). Orchestrates Step 1 (stress-target search), Step 2.1
-// (critical-path freezing, optionally with rotation), Step 2.2 (monitored
-// path constraint generation), Step 2.3 (the Delta-relaxation solve loop
-// with STA re-check) and Step 3 (MTTF computation).
+// contribution). Orchestrates Step 1 (the stress-target lower bound),
+// Step 2.1 (critical-path freezing, optionally with rotation), Step 2.2
+// (monitored path constraint generation), Step 2.3 (the Delta-relaxation
+// solve loop with STA re-check) and Step 3 (MTTF computation).
 #pragma once
 
 #include <cstdint>
@@ -57,12 +57,12 @@ struct RemapOptions {
   int rotation_restarts = 12;
   int rotation_retries = 2;  // re-draw rotations if the plan can't close
 
-  // Incremental probe sessions (core/probe_session.h) for Step 1's binary
-  // search, the LP presearch and the Delta-relaxation retry loop: the remap
-  // model is built once per geometry, only the stress-target rows are
-  // patched between attempts, and each LP warm-starts from the previous
-  // attempt's basis. Off = the legacy full rebuild + cold solve per
-  // attempt (the `--warm-probes off` escape hatch).
+  // Incremental probe sessions (core/probe_session.h) for the LP presearch
+  // and the Delta-relaxation retry loop: the remap model is built once per
+  // geometry, only the stress-target rows are patched between attempts, and
+  // each LP warm-starts from the previous attempt's basis. Off = the legacy
+  // full rebuild + cold solve per attempt (the `--warm-probes off` escape
+  // hatch).
   bool warm_probes = true;
 
   std::uint64_t seed = 1;
@@ -111,9 +111,9 @@ struct RemapResult {
   double cpd_after_ns = 0.0;
   double st_max_before = 0.0;
   double st_max_after = 0.0;
-  double st_avg = 0.0;             // fabric-wide average (ST_low)
-  double st_target_initial = 0.0;  // Step-1 lower bound
-  double st_target_final = 0.0;    // value that produced the result
+  double st_avg = 0.0;           // fabric-wide average (ST_low): Step 1's
+                                 // lower bound
+  double st_target_final = 0.0;  // value that produced the result
 
   aging::MttfReport mttf_before;
   aging::MttfReport mttf_after;
@@ -123,8 +123,8 @@ struct RemapResult {
   int num_frozen_ops = 0;
   int num_monitored_paths = 0;
   int rotation_attempts = 0;
-  // Aggregated incremental-probe accounting across Step 1, the presearch
-  // and the Delta loop (see ProbeSessionStats).
+  // Aggregated incremental-probe accounting across the presearch and the
+  // Delta loop (see ProbeSessionStats).
   int probe_warm_hits = 0;
   int probe_basis_fallbacks = 0;
   int probe_model_rebuilds = 0;

@@ -36,7 +36,7 @@ struct TwoStepOptions {
   // Delta relaxation of Algorithm 1 usually recovers more cheaply).
   bool bnb_fallback = false;
   // Check feasibility with the LP relaxation only (no integer solve); used
-  // inside the Step-1 binary search where only a lower bound is needed.
+  // by the remapper's LP presearch, where only a lower bound is needed.
   bool lp_only = false;
   milp::LpOptions lp;
   milp::MipOptions mip;

@@ -58,6 +58,9 @@ struct Shared {
   SolveStatus limit_hit CGRAF_GUARDED_BY(mu) = SolveStatus::kOptimal;
   bool root_unbounded CGRAF_GUARDED_BY(mu) = false;
   bool proof_incomplete CGRAF_GUARDED_BY(mu) = false;
+  // The first node LP that stopped on its own limit (iterations, time or
+  // cancel); kOptimal while none has.
+  SolveStatus node_lp_limit CGRAF_GUARDED_BY(mu) = SolveStatus::kOptimal;
   double incumbent_internal CGRAF_GUARDED_BY(mu) = kInf;
   std::vector<double> incumbent_x CGRAF_GUARDED_BY(mu);
   // Min bound among pruned-by-gap nodes.
@@ -403,6 +406,11 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
       }
       if (lp.status != SolveStatus::kOptimal) {
         sh.proof_incomplete = true;
+        if (sh.node_lp_limit == SolveStatus::kOptimal &&
+            (lp.status == SolveStatus::kIterLimit ||
+             lp.status == SolveStatus::kTimeLimit ||
+             lp.status == SolveStatus::kCancelled))
+          sh.node_lp_limit = lp.status;
         emit_node("lp_limit");
         sh.cv.notify_all();
         continue;
@@ -518,6 +526,8 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     res.status = SolveStatus::kInfeasible;
   } else if (sh.limit_hit != SolveStatus::kOptimal) {
     res.status = sh.limit_hit;
+  } else if (sh.node_lp_limit != SolveStatus::kOptimal) {
+    res.status = sh.node_lp_limit;
   } else {
     res.status = SolveStatus::kNumericalError;
   }

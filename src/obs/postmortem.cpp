@@ -143,7 +143,6 @@ void fold_record(const JsonValue& rec, PostmortemReport& r, Samples& s) {
   }
   if (type == "st.search_end") {
     ++r.st_searches;
-    r.floorplan_rejections += rec.int_or("certify_failures", 0);
     return;
   }
   if (type == "twostep.solve") {
@@ -186,7 +185,7 @@ void fold_record(const JsonValue& rec, PostmortemReport& r, Samples& s) {
     m.wait_seconds = rec.num_or("wait_seconds", 0.0);
     return;
   }
-  // st.search_begin / st.probe / remap.begin / bnb.end and unknown types:
+  // st.search_begin / remap.begin / bnb.end and unknown types:
   // counted in records_by_type only.
 }
 

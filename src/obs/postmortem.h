@@ -106,7 +106,7 @@ struct PostmortemReport {
   // probe.solve `certify_rejected` flags (each gate sets only its own).
   long solution_rejections = 0;
   // Floorplans rejected by certify_floorplan: remap.end
-  // `certify_rejections` plus st.search_end `certify_failures`.
+  // `certify_rejections`.
   long floorplan_rejections = 0;
 
   // --- exact percentiles (nearest rank) ------------------------------------

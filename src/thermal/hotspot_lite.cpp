@@ -57,65 +57,4 @@ std::vector<double> steady_state_temperature(const Fabric& fabric,
   return temp;
 }
 
-std::vector<double> transient_temperature(const Fabric& fabric,
-                                          const std::vector<double>& activity,
-                                          double duration_s,
-                                          const ThermalParams& p,
-                                          const TransientOptions& t,
-                                          const std::vector<double>* initial) {
-  const int n = fabric.num_pes();
-  CGRAF_ASSERT(static_cast<int>(activity.size()) == n);
-  CGRAF_ASSERT(duration_s >= 0.0);
-  CGRAF_ASSERT(t.capacitance_j_per_k > 0.0);
-
-  const double gv = 1.0 / p.vertical_resistance;
-  // Explicit Euler stability: dt < C / (gv + 4 gl); clamp defensively.
-  const double g_max = gv + 4.0 * p.lateral_conductance;
-  const double dt = std::min(t.time_step_s, 0.5 * t.capacitance_j_per_k / g_max);
-  CGRAF_ASSERT(dt > 0.0);
-
-  std::vector<double> power(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    power[static_cast<std::size_t>(i)] =
-        p.leak_power_w +
-        p.active_power_w *
-            std::clamp(activity[static_cast<std::size_t>(i)], 0.0, 1.0);
-  }
-
-  std::vector<double> temp =
-      initial != nullptr ? *initial
-                         : std::vector<double>(static_cast<std::size_t>(n),
-                                               p.ambient_k);
-  CGRAF_ASSERT(static_cast<int>(temp.size()) == n);
-  std::vector<double> next(static_cast<std::size_t>(n));
-
-  const int rows = fabric.rows();
-  const int cols = fabric.cols();
-  double remaining = duration_s;
-  while (remaining > 0.0) {
-    const double step = std::min(dt, remaining);
-    remaining -= step;
-    for (int i = 0; i < n; ++i) {
-      const Point loc = fabric.loc(i);
-      double flow = power[static_cast<std::size_t>(i)] +
-                    gv * (p.ambient_k - temp[static_cast<std::size_t>(i)]);
-      auto visit = [&](int x, int y) {
-        if (x < 0 || x >= cols || y < 0 || y >= rows) return;
-        flow += p.lateral_conductance *
-                (temp[static_cast<std::size_t>(fabric.pe_at(Point{x, y}))] -
-                 temp[static_cast<std::size_t>(i)]);
-      };
-      visit(loc.x - 1, loc.y);
-      visit(loc.x + 1, loc.y);
-      visit(loc.x, loc.y - 1);
-      visit(loc.x, loc.y + 1);
-      next[static_cast<std::size_t>(i)] =
-          temp[static_cast<std::size_t>(i)] +
-          step * flow / t.capacitance_j_per_k;
-    }
-    temp.swap(next);
-  }
-  return temp;
-}
-
 }  // namespace cgraf::thermal

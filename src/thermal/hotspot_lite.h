@@ -32,29 +32,4 @@ std::vector<double> steady_state_temperature(const Fabric& fabric,
                                              const std::vector<double>& activity,
                                              const ThermalParams& params = {});
 
-// --- Transient extension -------------------------------------------------
-//
-// HotSpot's transient mode: each PE node gets a thermal capacitance and the
-// grid is integrated with explicit Euler, C dT/dt = P - G T. The slowest
-// thermal time constant (C * R_vertical = 9 s with the defaults, for the
-// spatially-uniform mode) is many orders of magnitude
-// above the nanosecond context period, which is exactly why the MTTF flow
-// may use the steady-state solve on *average* activity; the transient
-// solver is for power-state transitions (reconfiguration to a different
-// application, duty-cycling) and for validating that separation.
-
-struct TransientOptions {
-  double capacitance_j_per_k = 0.15;  // per-PE lumped thermal capacitance
-  double time_step_s = 2e-3;          // explicit-Euler step
-};
-
-// Integrates the grid for `duration_s` under constant per-PE activity,
-// starting from `initial` (ambient everywhere when null). Returns the
-// final per-PE temperatures.
-std::vector<double> transient_temperature(
-    const Fabric& fabric, const std::vector<double>& activity,
-    double duration_s, const ThermalParams& params = {},
-    const TransientOptions& transient = {},
-    const std::vector<double>* initial = nullptr);
-
 }  // namespace cgraf::thermal

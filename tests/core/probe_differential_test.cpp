@@ -1,15 +1,11 @@
-// Differential harness for the incremental ST_target probes.
-//
-// Two layers, both over seeded random fabric/context corpora:
-//  - find_st_target with warm probes vs the forced-cold escape hatch must
-//    produce the same final target and the same probe-by-probe log;
-//  - a ProbeSession with the remapper's presearch shape (frozen critical
-//    paths + monitored-path budgets, LP-only kNull probes) must answer a
-//    shared bisection ladder verdict-for-verdict like a cold session that
-//    rebuilds the model at every probe. Path constraints make ST_low
-//    genuinely infeasible here, so the ladders actually bisect and the
-//    warm session chains bases across probes.
-// Labeled `slow` — it runs a few hundred LP searches.
+// Differential harness for the incremental ST_target probes, over a seeded
+// random fabric/context corpus: a ProbeSession with the remapper's
+// presearch shape (frozen critical paths + monitored-path budgets, LP-only
+// kNull probes) must answer a shared bisection ladder verdict-for-verdict
+// like a cold session that rebuilds the model at every probe. Path
+// constraints make ST_low genuinely infeasible here, so the ladders
+// actually bisect and the warm session chains bases across probes.
+// Labeled `slow` — it runs a few hundred LP solves.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,7 +13,6 @@
 #include "cgrra/stress.h"
 #include "core/candidates.h"
 #include "core/probe_session.h"
-#include "core/st_target.h"
 #include "timing/paths.h"
 #include "util/rng.h"
 #include "workloads/suite.h"
@@ -142,72 +137,6 @@ TEST(ProbeDifferential, SessionMatchesColdRebuildOnBisectionLadders) {
   EXPECT_GT(infeasible_total, 0);
   std::printf("[corpus] %d probes, %d warm hits, %d infeasible verdicts\n",
               probes_total, warm_hits_total, infeasible_total);
-}
-
-TEST(ProbeDifferential, FindStTargetWarmAndColdAreIdentical) {
-  // Step 1 proper (no path constraints): LP probes of the all-candidates
-  // model accept ST_low immediately — a fractional assignment spreads
-  // stress perfectly — so these searches are short; the point is that the
-  // warm path takes the exact same log, including the short-circuit.
-  for (const auto& spec : corpus(50)) {
-    const auto bench = workloads::generate_benchmark(spec);
-    StTargetOptions warm_opts;
-    warm_opts.warm_probes = true;
-    const StTargetResult warm =
-        find_st_target(bench.design, bench.baseline, warm_opts);
-    StTargetOptions cold_opts;
-    cold_opts.warm_probes = false;
-    const StTargetResult cold =
-        find_st_target(bench.design, bench.baseline, cold_opts);
-
-    ASSERT_EQ(warm.ok, cold.ok) << spec.name;
-    EXPECT_EQ(warm.st_target, cold.st_target) << spec.name;
-    EXPECT_EQ(warm.probes, cold.probes) << spec.name;
-    ASSERT_EQ(warm.probe_log.size(), cold.probe_log.size()) << spec.name;
-    for (std::size_t i = 0; i < warm.probe_log.size(); ++i) {
-      EXPECT_EQ(warm.probe_log[i].st_target, cold.probe_log[i].st_target)
-          << spec.name << " probe " << i;
-      EXPECT_EQ(warm.probe_log[i].feasible, cold.probe_log[i].feasible)
-          << spec.name << " probe " << i;
-    }
-    EXPECT_EQ(cold.warm_hits, 0) << spec.name;
-    EXPECT_EQ(cold.basis_fallbacks, 0) << spec.name;
-    EXPECT_EQ(cold.model_rebuilds, cold.probes) << spec.name;
-  }
-}
-
-TEST(ProbeDifferential, FirstIlpProbeMatchesColdBitForBit) {
-  // With ILP-confirmed probes the dive is path-dependent once a basis is
-  // chained, but the *first* probe of each search has no chained basis
-  // yet, so it must match the cold search exactly — and both searches must
-  // stay inside the bracket whatever path they took after that.
-  for (const auto& spec : corpus(8)) {
-    const auto bench = workloads::generate_benchmark(spec);
-    StTargetOptions warm_opts;
-    warm_opts.confirm_with_ilp = true;
-    warm_opts.warm_probes = true;
-    const StTargetResult warm =
-        find_st_target(bench.design, bench.baseline, warm_opts);
-    StTargetOptions cold_opts;
-    cold_opts.confirm_with_ilp = true;
-    cold_opts.warm_probes = false;
-    const StTargetResult cold =
-        find_st_target(bench.design, bench.baseline, cold_opts);
-    if (warm.probe_log.empty()) {
-      // Zero-stress designs return before probing; both sides must agree.
-      EXPECT_TRUE(cold.probe_log.empty()) << spec.name;
-      continue;
-    }
-    ASSERT_FALSE(cold.probe_log.empty()) << spec.name;
-    EXPECT_EQ(warm.probe_log[0].st_target, cold.probe_log[0].st_target)
-        << spec.name;
-    EXPECT_EQ(warm.probe_log[0].feasible, cold.probe_log[0].feasible)
-        << spec.name;
-    EXPECT_GE(warm.st_target, warm.st_low - 1e-12) << spec.name;
-    EXPECT_LE(warm.st_target, warm.st_up + 1e-12) << spec.name;
-    EXPECT_GE(cold.st_target, cold.st_low - 1e-12) << spec.name;
-    EXPECT_LE(cold.st_target, cold.st_up + 1e-12) << spec.name;
-  }
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(FullFlow, WarmAndColdProbesBothCertify) {
   EXPECT_EQ(warm.improved, cold.improved);
   EXPECT_EQ(cold.probe_warm_hits, 0);
   // The warm flow must actually have exercised basis chaining somewhere
-  // (Step-1 search, presearch, or the Delta loop).
+  // (the presearch or the Delta loop).
   EXPECT_GT(warm.probe_warm_hits, 0);
 }
 

@@ -112,6 +112,26 @@ TEST(BranchAndBound, NodeLimitWithoutSolution) {
   EXPECT_FALSE(r.has_solution());
 }
 
+TEST(BranchAndBound, NodeLpLimitKeepsItsLabel) {
+  // A 3x3 assignment whose root LP cannot finish in one simplex iteration:
+  // the search ends with its only node dropped, and the result must name
+  // the node LP's limit, not a numerical error.
+  Model m;
+  int x[3][3];
+  for (int i = 0; i < 3; ++i)
+    for (int j = 0; j < 3; ++j) x[i][j] = m.add_binary(1.0 + 3 * i + j);
+  for (int i = 0; i < 3; ++i)
+    m.add_eq({{x[i][0], 1.0}, {x[i][1], 1.0}, {x[i][2], 1.0}}, 1.0);
+  for (int j = 0; j < 3; ++j)
+    m.add_le({{x[0][j], 1.0}, {x[1][j], 1.0}, {x[2][j], 1.0}}, 1.0);
+  MipOptions opts;
+  opts.lp.max_iters = 1;
+  const MipResult r = solve_milp(m, opts);
+  EXPECT_EQ(r.status, SolveStatus::kIterLimit);
+  EXPECT_EQ(r.nodes, 1);
+  EXPECT_FALSE(r.has_solution());
+}
+
 TEST(BranchAndBound, BestBoundIsValid) {
   Model m;
   m.set_sense(Sense::kMaximize);

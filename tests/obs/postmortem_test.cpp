@@ -191,19 +191,12 @@ TEST(Postmortem, StSearchProbeTotalsMatchResultExactly) {
   ASSERT_TRUE(r.ok);
   log.close();
 
+  // Step 1 is closed-form: one search, no probe and no LP.
   const PostmortemReport report = analyze_ok(log.memory_contents());
   EXPECT_EQ(report.st_searches, 1);
-  EXPECT_EQ(report.probes, static_cast<long>(r.probes));
-  EXPECT_EQ(report.probe_warm_hits, static_cast<long>(r.warm_hits));
-  EXPECT_EQ(report.probe_fallbacks, static_cast<long>(r.basis_fallbacks));
-  EXPECT_EQ(report.probe_rebuilds, static_cast<long>(r.model_rebuilds));
-  // The probe chain reconstructs in emission order with sane timestamps.
-  ASSERT_EQ(static_cast<long>(report.probe_chain.size()), report.probes);
-  double last_t = -1.0;
-  for (const auto& probe : report.probe_chain) {
-    EXPECT_GE(probe.t_us, last_t);
-    last_t = probe.t_us;
-  }
+  EXPECT_EQ(report.probes, 0);
+  EXPECT_EQ(report.lp_solves, 0);
+  EXPECT_TRUE(report.probe_chain.empty());
 }
 
 TEST(Postmortem, RemapRunReconstructsPipeline) {
@@ -221,6 +214,18 @@ TEST(Postmortem, RemapRunReconstructsPipeline) {
   EXPECT_GE(report.st_searches, 1);
   EXPECT_GT(report.lp_solves, 0);
   EXPECT_GT(report.probes, 0);
+  // The summed probe.solve flags equal the remap's session totals.
+  EXPECT_EQ(report.probe_warm_hits, static_cast<long>(res.probe_warm_hits));
+  EXPECT_EQ(report.probe_fallbacks,
+            static_cast<long>(res.probe_basis_fallbacks));
+  EXPECT_EQ(report.probe_rebuilds, static_cast<long>(res.probe_model_rebuilds));
+  // The probe chain reconstructs in emission order with sane timestamps.
+  ASSERT_EQ(static_cast<long>(report.probe_chain.size()), report.probes);
+  double last_t = -1.0;
+  for (const auto& probe : report.probe_chain) {
+    EXPECT_GE(probe.t_us, last_t);
+    last_t = probe.t_us;
+  }
   EXPECT_EQ(report.floorplan_rejections, res.certify_rejections);
   EXPECT_GE(report.dive_rounds.count, 1);
   // The sync.mutex snapshot folds into the lock table unchanged.
@@ -304,8 +309,6 @@ TEST(Postmortem, FoldsRejectionsPercentilesAndLockSnapshots) {
       "\"certify_rejected\":false,\"seconds\":0.000001}\n"
       "{\"type\":\"probe.solve\",\"t\":4,\"tid\":0,"
       "\"certify_rejected\":true}\n"
-      "{\"type\":\"st.search_end\",\"t\":5,\"tid\":0,"
-      "\"certify_failures\":1}\n"
       "{\"type\":\"remap.end\",\"t\":6,\"tid\":0,"
       "\"certify_rejections\":2}\n"
       // Snapshots are cumulative: the later record for a name wins.
@@ -315,7 +318,7 @@ TEST(Postmortem, FoldsRejectionsPercentilesAndLockSnapshots) {
       "\"acquisitions\":9,\"contended\":2,\"wait_seconds\":0.75}\n";
   const PostmortemReport report = analyze_ok(jsonl);
   EXPECT_EQ(report.solution_rejections, 2);
-  EXPECT_EQ(report.floorplan_rejections, 3);
+  EXPECT_EQ(report.floorplan_rejections, 2);
   // Nearest rank over 1..10.
   EXPECT_EQ(report.node_lp_iters.count, 10);
   EXPECT_EQ(report.node_lp_iters.p50, 5);
@@ -481,8 +484,8 @@ TEST(PipelineTrace, RemapEmitsPromisedSpans) {
   const std::string jsonl = log.memory_contents();
   const PostmortemReport report = analyze_ok(jsonl);
 
-  // The Chrome view shows the remap, its attempts, Step 1 and its probes,
-  // the two-step solves and every LP as spans.
+  // The Chrome view shows the remap, its attempts, Step 1, the two-step
+  // solves and every LP as spans.
   std::map<std::string, long> spans;
   bool saw_end = false;
   for (const JsonValue& ev : trace_events(jsonl)) {
@@ -507,7 +510,7 @@ TEST(PipelineTrace, RemapEmitsPromisedSpans) {
   EXPECT_EQ(spans["remap.end"], 1);
   EXPECT_EQ(spans["remap.attempt"], report.remap_attempts);
   EXPECT_EQ(spans["st.search_end"], report.st_searches);
-  EXPECT_GE(spans["st.probe"], 1);
+  EXPECT_EQ(spans["st.probe"], 0);  // Step 1 is closed-form
   EXPECT_EQ(spans["twostep.solve"], report.twostep_solves);
   EXPECT_GE(spans["twostep.solve"], 1);
   EXPECT_EQ(spans["lp.solve"], report.lp_solves);

@@ -176,8 +176,12 @@ Certificate certify_floorplan(const FloorplanSpec& spec, const Floorplan& fp,
     }
   }
 
-  // Accumulated stress per PE, compensated, against ST_target.
-  if (spec.st_target >= 0.0) {
+  // Accumulated stress per PE, compensated, against ST_target. Only a
+  // negative target disables the check; a NaN one fails closed, since no
+  // stress can be shown to meet it.
+  if (std::isnan(spec.st_target)) {
+    cert.fail(opts, "stress", "ST_target is NaN");
+  } else if (spec.st_target >= 0.0) {
     std::vector<KahanSum> acc(static_cast<std::size_t>(n_pes));
     for (int op = 0; op < n_ops; ++op) {
       acc[static_cast<std::size_t>(fp.pe_of(op))].add(

@@ -70,7 +70,8 @@ struct FloorplanSpec {
   // check.
   const Floorplan* reference = nullptr;
   std::vector<char> frozen;  // per op; empty = nothing frozen
-  // Per-PE accumulated stress bound; negative disables the check.
+  // Per-PE accumulated stress bound; negative disables the check, and NaN
+  // fails it.
   double st_target = -1.0;
   // Monitored paths and the CPD their wire budgets are derived from
   // (Eq. (5): wirelength <= (cpd - pe_delay) / unit_wire_delay). Null

@@ -54,7 +54,7 @@ Design generate_multicontext_design(const Fabric& fabric, int contexts,
 
   Design d{fabric, contexts, {}, {}};
   // PE-delay budget for a combinational cluster: leave wire headroom so the
-  // baseline placer can meet the clock (see ScheduleOptions comment).
+  // baseline placer can meet the clock.
   const double budget = 0.78 * fabric.clock_period_ns();
   const int widths[] = {8, 16, 32};
 

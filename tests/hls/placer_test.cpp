@@ -47,8 +47,8 @@ TEST(Placer, DifferentSeedsUsuallyDiffer) {
 }
 
 TEST(Placer, MeetsTheClockPeriod) {
-  // The scheduler's chain budget leaves wire headroom; the placer must
-  // land within the clock.
+  // The generator's cluster budget (0.78 of the clock) leaves wire
+  // headroom; the placer must land within the clock.
   for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
     const auto bench = make_bench(seed, 8, 6, 0.5);
     const auto sta = timing::run_sta(bench.design, bench.baseline);

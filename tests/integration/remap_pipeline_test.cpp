@@ -31,6 +31,8 @@ void check_invariants(const workloads::GeneratedBenchmark& bench,
   // Stress can only improve (or the baseline is returned unchanged).
   EXPECT_LE(r.st_max_after, r.st_max_before + 1e-9);
   EXPECT_GE(r.mttf_gain, 1.0 - 1e-9);
+  // No accepted attempt was later thrown out by the certifier.
+  EXPECT_EQ(r.certify_rejections, 0) << r.note;
   // Reported stress figures match a from-scratch recomputation.
   const StressMap recomputed = compute_stress(bench.design, r.floorplan);
   EXPECT_NEAR(recomputed.max_accumulated(), r.st_max_after, 1e-9);
@@ -189,10 +191,12 @@ TEST(RemapPipeline, WarmProbesMatchColdPipeline) {
     EXPECT_NEAR(warm.st_max_after, cold.st_max_after,
                 0.05 * bench.design.num_contexts)
         << seed;
-    // Cold runs never chain bases.
+    // Cold runs never chain bases; the warm run must actually have chained
+    // one somewhere (the presearch or the Delta loop).
     EXPECT_EQ(cold.probe_warm_hits, 0) << seed;
     EXPECT_EQ(cold.probe_basis_fallbacks, 0) << seed;
     EXPECT_GT(cold.probe_model_rebuilds, 0) << seed;
+    EXPECT_GT(warm.probe_warm_hits, 0) << seed;
   }
 }
 

@@ -173,6 +173,12 @@ TEST(CertifyFloorplan, RejectsStressAboveTarget) {
   const Certificate cert = certify_floorplan(spec, fp);
   EXPECT_FALSE(cert.ok);
   EXPECT_TRUE(has_issue(cert, "stress"));
+  // A NaN bound compares false against every stress; it must fail closed
+  // instead of reading as "no bound".
+  spec.st_target = std::numeric_limits<double>::quiet_NaN();
+  const Certificate nan_cert = certify_floorplan(spec, fp);
+  EXPECT_FALSE(nan_cert.ok);
+  EXPECT_TRUE(has_issue(nan_cert, "stress"));
 }
 
 TEST(CertifyFloorplan, RejectsMovedFrozenOp) {

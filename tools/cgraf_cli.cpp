@@ -15,6 +15,10 @@
 // Every artifact is the text format of cgrra/io.h, so the steps compose
 // with shell pipelines and with hand-edited fixtures.
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -151,12 +155,15 @@ struct Args {
 };
 
 // Strict numeric flag parsing (atoi/atof read a typo like "0.2x" as 0.2 or
-// garbage as 0; cert-err34-c). nullopt on anything but a complete number.
-std::optional<long> parse_long_arg(const std::string& s) {
+// garbage as 0; cert-err34-c). nullopt on anything but a complete number,
+// and for an integer on one outside [lo, hi].
+std::optional<long> parse_long_arg(const std::string& s, long lo, long hi) {
   char* end = nullptr;
   errno = 0;
   const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return std::nullopt;
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE || v < lo ||
+      v > hi)
+    return std::nullopt;
   return v;
 }
 
@@ -166,6 +173,74 @@ std::optional<double> parse_double_arg(const std::string& s) {
   const double v = std::strtod(s.c_str(), &end);
   if (end == s.c_str() || *end != '\0' || errno == ERANGE) return std::nullopt;
   return v;
+}
+
+// Seeds are digits only: strtoull alone negates "-1" into 2^64-1 and skips
+// leading blanks.
+std::optional<std::uint64_t> parse_seed(const std::string& s) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
+    return std::nullopt;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return v;
+}
+
+// Reads option `key` if it was given. `parse` returns nullopt for a
+// malformed or out-of-range value; then the problem is printed and false
+// returned, so the command exits 1 before it loads or writes anything. An
+// absent option leaves *out, the caller's default, as it is.
+template <typename T, typename Parse>
+bool read_option(const Args& args, const std::string& key, T* out,
+                 const std::string& expected, Parse parse) {
+  const auto text = args.get(key);
+  if (!text) return true;
+  const auto v = parse(*text);
+  if (!v) {
+    std::fprintf(stderr, "invalid --%s '%s': expected %s\n", key.c_str(),
+                 text->c_str(), expected.c_str());
+    return false;
+  }
+  *out = static_cast<T>(*v);
+  return true;
+}
+
+// An integer option in [lo, hi], range-checked before it is narrowed to T.
+template <typename T>
+bool read_int(const Args& args, const std::string& key, T* out, long lo,
+              long hi) {
+  return read_option(
+      args, key, out,
+      "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]",
+      [&](const std::string& text) { return parse_long_arg(text, lo, hi); });
+}
+
+bool read_seed(const Args& args, const std::string& key, std::uint64_t* out) {
+  return read_option(args, key, out, "an unsigned 64-bit integer",
+                     parse_seed);
+}
+
+// --margin is the monitored-path slack fraction, which
+// timing::monitored_paths requires in [0, 1). NaN fails both comparisons.
+bool read_margin(const Args& args, double* out) {
+  return read_option(args, "margin", out, "a number in [0, 1)",
+                     [](const std::string& text) {
+                       const auto v = parse_double_arg(text);
+                       return v && *v >= 0.0 && *v < 1.0 ? v : std::nullopt;
+                     });
+}
+
+// --st-target must be a finite, non-negative stress bound: the certifier
+// reads a negative one as "no check", and neither NaN nor inf bounds
+// anything.
+bool read_st_target(const Args& args, std::optional<double>* out) {
+  return read_option(args, "st-target", out, "a finite number >= 0",
+                     [](const std::string& text) {
+                       const auto v = parse_double_arg(text);
+                       return v && std::isfinite(*v) && *v >= 0.0
+                                  ? v
+                                  : std::nullopt;
+                     });
 }
 
 // Both loaders run the DL input-lint acceptance (verify/input_lint.h), so
@@ -214,25 +289,23 @@ int cmd_gen(const Args& args) {
       return 1;
     }
   } else {
+    // Range-checked before narrowing, against the ceilings every loader's
+    // input lint enforces, so gen writes no context count or fabric size
+    // that the other commands reject. The fabric is dim x dim PEs.
+    const verify::InputLintOptions limits;
+    const long max_dim = static_cast<long>(std::sqrt(limits.max_fabric_pes));
     spec.name = "custom";
-    const auto contexts = parse_long_arg(args.get_or("contexts", "4"));
-    const auto dim = parse_long_arg(args.get_or("dim", "4"));
-    const auto usage_frac = parse_double_arg(args.get_or("usage", "0.5"));
-    if (!contexts || !dim || !usage_frac) {
-      std::fprintf(stderr, "invalid generation parameters\n");
+    spec.usage = 0.5;
+    if (!read_int(args, "contexts", &spec.contexts, 1, limits.max_contexts) ||
+        !read_int(args, "dim", &spec.fabric_dim, 1, max_dim) ||
+        !read_option(args, "usage", &spec.usage, "a number in (0, 1]",
+                     [](const std::string& text) {
+                       const auto v = parse_double_arg(text);
+                       return v && *v > 0.0 && *v <= 1.0 ? v : std::nullopt;
+                     }))
       return 1;
-    }
-    spec.contexts = static_cast<int>(*contexts);
-    spec.fabric_dim = static_cast<int>(*dim);
-    spec.usage = *usage_frac;
   }
-  if (const auto seed = args.get("seed"))
-    spec.seed = std::strtoull(seed->c_str(), nullptr, 10);
-  if (spec.contexts <= 0 || spec.fabric_dim <= 0 || spec.usage <= 0 ||
-      spec.usage > 1.0) {
-    std::fprintf(stderr, "invalid generation parameters\n");
-    return 1;
-  }
+  if (!read_seed(args, "seed", &spec.seed)) return 1;
   const auto bench = workloads::generate_benchmark(spec);
   std::string error;
   if (!write_file(*out, to_text(bench.design), &error)) {
@@ -246,6 +319,8 @@ int cmd_gen(const Args& args) {
 }
 
 int cmd_place(const Args& args) {
+  hls::PlacerOptions opts;
+  if (!read_seed(args, "seed", &opts.seed)) return 1;
   std::string error;
   const auto design = load_design(args, &error);
   const auto out = args.get("out");
@@ -254,8 +329,6 @@ int cmd_place(const Args& args) {
                                                : error.c_str());
     return 1;
   }
-  hls::PlacerOptions opts;
-  opts.seed = std::strtoull(args.get_or("seed", "1").c_str(), nullptr, 10);
   const Floorplan fp = place_baseline(*design, opts);
   if (!write_file(*out, to_text(fp), &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
@@ -270,24 +343,6 @@ int cmd_place(const Args& args) {
 }
 
 int cmd_remap(const Args& args) {
-  std::string error;
-  const auto design = load_design(args, &error);
-  if (!design) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
-  const auto baseline = load_floorplan(args, *design, "floorplan", &error);
-  const auto out = args.get("out");
-  if (!baseline || !out) {
-    std::fprintf(stderr, "%s\n", error.empty() ? "--out is required"
-                                               : error.c_str());
-    return 1;
-  }
-  std::string why;
-  if (!is_valid(*design, *baseline, &why)) {
-    std::fprintf(stderr, "input floorplan invalid: %s\n", why.c_str());
-    return 1;
-  }
   core::RemapOptions opts;
   const std::string mode = args.get_or("mode", "rotate");
   if (mode == "freeze") opts.mode = core::RemapMode::kFreeze;
@@ -296,14 +351,14 @@ int cmd_remap(const Args& args) {
     std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
     return 1;
   }
-  const auto margin = parse_double_arg(args.get_or("margin", "0.2"));
-  if (!margin) {
-    std::fprintf(stderr, "invalid --margin '%s'\n",
-                 args.get_or("margin", "0.2").c_str());
+  if (!read_margin(args, &opts.path_margin) ||
+      !read_seed(args, "seed", &opts.seed) ||
+      // Local-search knobs (meaningful for the ls and portfolio strategies).
+      !read_seed(args, "ls-seed", &opts.ls.seed) ||
+      !read_int(args, "ls-iters", &opts.ls.max_iters, 1, INT_MAX) ||
+      // `--threads 0` means all hardware threads.
+      !read_int(args, "threads", &opts.solver.mip.num_threads, 0, 4096))
     return 1;
-  }
-  opts.path_margin = *margin;
-  opts.seed = std::strtoull(args.get_or("seed", "1").c_str(), nullptr, 10);
   opts.verbose = args.has("verbose");
   // Every floorplan the CLI writes carries the independent certificate.
   opts.verify.enabled = true;
@@ -320,41 +375,6 @@ int cmd_remap(const Args& args) {
     return 1;
   }
   opts.strategy = sinfo->strategy;
-  // Local-search knobs (meaningful for the ls and portfolio strategies).
-  if (const auto ls_seed = args.get("ls-seed")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(ls_seed->c_str(), &end, 10);
-    if (end == ls_seed->c_str() || *end != '\0') {
-      std::fprintf(stderr, "invalid --ls-seed '%s'\n", ls_seed->c_str());
-      return 1;
-    }
-    opts.ls.seed = v;
-  }
-  if (const auto ls_iters = args.get("ls-iters")) {
-    char* end = nullptr;
-    const long v = std::strtol(ls_iters->c_str(), &end, 10);
-    if (end == ls_iters->c_str() || *end != '\0' || v <= 0) {
-      std::fprintf(stderr,
-                   "invalid --ls-iters '%s': expected a positive integer\n",
-                   ls_iters->c_str());
-      return 1;
-    }
-    opts.ls.max_iters = static_cast<int>(v);
-  }
-  if (const auto threads = args.get("threads")) {
-    // Strict parse: a typo like "-2" or "2x" must fail loudly, not fall
-    // back to hardware concurrency through atoi()'s 0-on-garbage.
-    char* end = nullptr;
-    const long v = std::strtol(threads->c_str(), &end, 10);
-    if (end == threads->c_str() || *end != '\0' || v < 0 || v > 4096) {
-      std::fprintf(stderr,
-                   "invalid --threads '%s': expected an integer in [0, 4096]"
-                   " (0 = all hardware threads)\n",
-                   threads->c_str());
-      return 1;
-    }
-    opts.solver.mip.num_threads = static_cast<int>(v);
-  }
   // Escape hatch for the incremental probe sessions: `--warm-probes off`
   // forces the legacy full-rebuild cold solve per attempt. Results are
   // identical either way; off trades speed for a simpler solve path when
@@ -367,6 +387,25 @@ int cmd_remap(const Args& args) {
   } else {
     std::fprintf(stderr, "unknown --warm-probes '%s' (on|off)\n",
                  warm.c_str());
+    return 1;
+  }
+
+  std::string error;
+  const auto design = load_design(args, &error);
+  if (!design) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  const auto baseline = load_floorplan(args, *design, "floorplan", &error);
+  const auto out = args.get("out");
+  if (!baseline || !out) {
+    std::fprintf(stderr, "%s\n", error.empty() ? "--out is required"
+                                               : error.c_str());
+    return 1;
+  }
+  std::string why;
+  if (!is_valid(*design, *baseline, &why)) {
+    std::fprintf(stderr, "input floorplan invalid: %s\n", why.c_str());
     return 1;
   }
   // --log-events: hand the pipeline the process-wide event log; the
@@ -552,6 +591,10 @@ int cmd_lint_inputs(const Args& args) {
 
 int cmd_lint(const Args& args) {
   if (args.has("inputs")) return cmd_lint_inputs(args);
+  double margin = 0.2;
+  std::optional<double> st_flag;
+  if (!read_margin(args, &margin) || !read_st_target(args, &st_flag))
+    return 1;
   std::string error;
   const auto design = load_design(args, &error);
   if (!design) {
@@ -568,16 +611,9 @@ int cmd_lint(const Args& args) {
     std::fprintf(stderr, "floorplan invalid: %s\n", why.c_str());
     return 1;
   }
-  const auto margin = parse_double_arg(args.get_or("margin", "0.2"));
-  const auto st_flag = parse_double_arg(args.get_or("st-target", "0"));
-  if (!margin || !st_flag) {
-    std::fprintf(stderr, "invalid --margin or --st-target value\n");
-    return 1;
-  }
-  const PipelineView view = derive_pipeline_view(*design, *fp, *margin);
+  const PipelineView view = derive_pipeline_view(*design, *fp, margin);
   const StressMap stress = compute_stress(*design, *fp);
-  const double st_target =
-      args.has("st-target") ? *st_flag : stress.max_accumulated();
+  const double st_target = st_flag.value_or(stress.max_accumulated());
 
   core::RemapModelSpec spec;
   spec.design = &*design;
@@ -616,6 +652,17 @@ int cmd_lint(const Args& args) {
 }
 
 int cmd_certify(const Args& args) {
+  double margin = 0.2;
+  std::optional<double> st_flag;
+  if (!read_margin(args, &margin) || !read_st_target(args, &st_flag))
+    return 1;
+  // Default matches the remap subcommand's default mode so that
+  // `remap` -> `certify` composes without extra flags.
+  const std::string mode = args.get_or("mode", "rotate");
+  if (mode != "freeze" && mode != "rotate") {
+    std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
+    return 1;
+  }
   std::string error;
   const auto design = load_design(args, &error);
   if (!design) {
@@ -637,24 +684,10 @@ int cmd_certify(const Args& args) {
     std::fprintf(stderr, "baseline floorplan invalid: %s\n", why.c_str());
     return 1;
   }
-  const auto margin = parse_double_arg(args.get_or("margin", "0.2"));
-  const auto st_flag = parse_double_arg(args.get_or("st-target", "0"));
-  if (!margin || !st_flag) {
-    std::fprintf(stderr, "invalid --margin or --st-target value\n");
-    return 1;
-  }
-  // Default matches the remap subcommand's default mode so that
-  // `remap` -> `certify` composes without extra flags.
-  const std::string mode = args.get_or("mode", "rotate");
-  if (mode != "freeze" && mode != "rotate") {
-    std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
-    return 1;
-  }
-  const PipelineView view = derive_pipeline_view(*design, *baseline, *margin);
+  const PipelineView view = derive_pipeline_view(*design, *baseline, margin);
   const StressMap base_stress = compute_stress(*design, *baseline);
   // Default bound: the pipeline's contract that the balance never regresses.
-  const double st_target =
-      args.has("st-target") ? *st_flag : base_stress.max_accumulated();
+  const double st_target = st_flag.value_or(base_stress.max_accumulated());
 
   verify::FloorplanSpec spec;
   spec.design = &*design;

@@ -10,6 +10,11 @@
 # rejected there as an unknown option (exit 2). The simplex has a single
 # configuration, so remap must reject a flag that picks a simplex variant
 # the same way, before it writes anything.
+#
+# Bad option values must exit 1 before any work, writing nothing: seeds
+# that are not plain unsigned integers, gen parameters beyond the input-lint
+# ceilings, a --margin outside [0, 1), and a --st-target that is negative,
+# NaN or infinite (each would switch the certifier's stress bound off).
 
 # Runs the command in ARGN and fails unless it exits with `expected`. The
 # command's stdout is left in `last_out`.
@@ -59,3 +64,35 @@ if(EXISTS "${WORK}/x.fp")
   message(FATAL_ERROR "remap wrote ${WORK}/x.fp despite rejecting an "
                       "unknown option")
 endif()
+
+# Runs the command in ARGN, which must exit 1 and leave no ${WORK}/x.out.
+function(expect_rejected)
+  file(REMOVE "${WORK}/x.out")
+  expect_exit(1 ${ARGN})
+  if(EXISTS "${WORK}/x.out")
+    string(REPLACE ";" " " cmd "${ARGN}")
+    message(FATAL_ERROR "`${cmd}` wrote ${WORK}/x.out despite failing")
+  endif()
+endfunction()
+
+foreach(flag "--seed;bogus" "--seed;12x" "--contexts;4294967300"
+             "--usage;nan" "--dim;260")
+  expect_rejected("${CLI}" gen ${flag} --out "${WORK}/x.out")
+endforeach()
+expect_exit(0 "${CLI}" gen --contexts 4 --dim 4 --usage 0.5 --seed 7
+            --out "${WORK}/custom.cgraf")
+expect_rejected("${CLI}" place --design "${WORK}/d.cgraf" --seed -1
+                --out "${WORK}/x.out")
+foreach(flag "--seed;12x" "--ls-seed;-1" "--ls-iters;4294967297"
+             "--margin;-5" "--margin;2" "--margin;nan")
+  expect_rejected("${CLI}" remap --design "${WORK}/d.cgraf"
+                  --floorplan "${WORK}/base.fp" ${flag} --out "${WORK}/x.out")
+endforeach()
+foreach(flag "--margin;-5" "--margin;2" "--margin;nan"
+             "--st-target;nan" "--st-target;-1" "--st-target;inf")
+  expect_rejected("${CLI}" lint --design "${WORK}/d.cgraf"
+                  --floorplan "${WORK}/base.fp" ${flag})
+  expect_rejected("${CLI}" certify --design "${WORK}/d.cgraf"
+                  --baseline "${WORK}/base.fp" --floorplan "${WORK}/aged.fp"
+                  ${flag})
+endforeach()

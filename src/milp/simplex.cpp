@@ -42,18 +42,6 @@ constexpr long kDseRecomputeInterval = 128;
 // recompute every this many dual pivots (CGRAF_DCHECK).
 [[maybe_unused]] constexpr long kDseCheckInterval = 64;
 
-// All mutable state of one solve, kept together so helper lambdas stay small.
-struct Work {
-  int n = 0, m = 0, total = 0;
-  const CscMatrix* a = nullptr;
-  std::vector<double> lb, ub;        // size total
-  std::vector<double> cost;          // size total, minimization
-  std::vector<ColStatus> status;     // size total
-  std::vector<int> basis;            // size m: column at each basis position
-  std::vector<double> x;             // size total
-  BasisLu lu;
-};
-
 }  // namespace
 
 SimplexEngine::SimplexEngine(const Model& model, LpOptions opts)
@@ -101,13 +89,12 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   const double tolf = opts_.tol_feas;
   const double told = opts_.tol_cost;
 
-  Work w;
-  w.n = n_;
-  w.m = m_;
-  w.total = n_ + m_;
-  w.a = &a_;
-  w.lb.resize(static_cast<size_t>(w.total));
-  w.ub.resize(static_cast<size_t>(w.total));
+  const int total = n_ + m_;
+  const size_t m_size = static_cast<size_t>(m_);
+  const size_t total_size = static_cast<size_t>(total);
+  Work& w = w_;
+  w.lb.resize(total_size);
+  w.ub.resize(total_size);
   for (int j = 0; j < n_; ++j) {
     w.lb[static_cast<size_t>(j)] = lb[static_cast<size_t>(j)];
     w.ub[static_cast<size_t>(j)] = ub[static_cast<size_t>(j)];
@@ -116,7 +103,6 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     w.lb[static_cast<size_t>(n_ + r)] = slack_lb_[static_cast<size_t>(r)];
     w.ub[static_cast<size_t>(n_ + r)] = slack_ub_[static_cast<size_t>(r)];
   }
-  w.cost = cost_;
 
   LpResult res;
 
@@ -148,16 +134,16 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
 
   // --- Build initial basis: warm start when usable, slack basis otherwise.
   bool warmed = false;
-  if (warm != nullptr && static_cast<int>(warm->size()) == w.total) {
+  if (warm != nullptr && static_cast<int>(warm->size()) == total) {
     w.status = *warm;
     w.basis.clear();
-    for (int j = 0; j < w.total; ++j) {
+    for (int j = 0; j < total; ++j) {
       if (w.status[static_cast<size_t>(j)] == ColStatus::kBasic)
         w.basis.push_back(j);
     }
     if (static_cast<int>(w.basis.size()) == m_ && timed_factorize()) {
       // Sanitize nonbasic statuses against the (possibly tightened) bounds.
-      for (int j = 0; j < w.total; ++j) {
+      for (int j = 0; j < total; ++j) {
         ColStatus& s = w.status[static_cast<size_t>(j)];
         if (s == ColStatus::kBasic) continue;
         if (s == ColStatus::kAtLower && w.lb[static_cast<size_t>(j)] == -kInf)
@@ -170,8 +156,8 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   }
   res.warm_used = warmed;
   if (!warmed) {
-    w.status.assign(static_cast<size_t>(w.total), ColStatus::kAtLower);
-    w.basis.resize(static_cast<size_t>(m_));
+    w.status.assign(total_size, ColStatus::kAtLower);
+    w.basis.resize(m_size);
     for (int j = 0; j < n_; ++j) w.status[static_cast<size_t>(j)] = default_status(j);
     for (int r = 0; r < m_; ++r) {
       w.basis[static_cast<size_t>(r)] = n_ + r;
@@ -181,7 +167,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     CGRAF_ASSERT(ok);  // slack basis is -I, always nonsingular
   }
 
-  w.x.assign(static_cast<size_t>(w.total), 0.0);
+  w.x.assign(total_size, 0.0);
   auto nonbasic_value = [&](int j) {
     switch (w.status[static_cast<size_t>(j)]) {
       case ColStatus::kAtLower: return w.lb[static_cast<size_t>(j)];
@@ -190,10 +176,11 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     }
   };
 
-  std::vector<double> rhs(static_cast<size_t>(m_));
+  std::vector<double>& rhs = w.rhs;
+  rhs.assign(m_size, 0.0);
   auto recompute_basics = [&] {
     std::fill(rhs.begin(), rhs.end(), 0.0);
-    for (int j = 0; j < w.total; ++j) {
+    for (int j = 0; j < total; ++j) {
       if (w.status[static_cast<size_t>(j)] == ColStatus::kBasic) continue;
       const double v = nonbasic_value(j);
       w.x[static_cast<size_t>(j)] = v;
@@ -217,8 +204,10 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     return s;
   };
 
-  std::vector<double> y(static_cast<size_t>(m_));
-  std::vector<double> spike(static_cast<size_t>(m_));
+  std::vector<double>& y = w.y;
+  std::vector<double>& spike = w.spike;
+  y.assign(m_size, 0.0);
+  spike.assign(m_size, 0.0);
   long stalled = 0;
   double last_progress_metric = kInf;
   bool last_phase1 = true;
@@ -228,16 +217,22 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   // rank-one update from the BTRAN'd pivot row; it is only trusted while
   // `d_valid` holds, and is rebuilt exactly from scratch on phase changes,
   // refactorizations, and every kPricingRefreshInterval updates.
-  std::vector<double> d(static_cast<size_t>(w.total), 0.0);
+  std::vector<double>& d = w.d;
+  d.assign(total_size, 0.0);
   bool d_valid = false;
   long updates_since_refresh = 0;
-  std::vector<int> bucket;
+  std::vector<int>& bucket = w.bucket;
+  bucket.clear();
   int rotate = 0;
-  std::vector<double> rho(static_cast<size_t>(m_));
-  std::vector<double> alpha(static_cast<size_t>(w.total), 0.0);
-  std::vector<char> alpha_mark(static_cast<size_t>(w.total), 0);
-  std::vector<int> alpha_touched;
-  const int bucket_cap = std::clamp(w.total / 8, 16, 512);
+  std::vector<double>& rho = w.rho;
+  std::vector<double>& alpha = w.alpha;
+  std::vector<char>& alpha_mark = w.alpha_mark;
+  std::vector<int>& alpha_touched = w.alpha_touched;
+  rho.assign(m_size, 0.0);
+  alpha.assign(total_size, 0.0);
+  alpha_mark.assign(total_size, 0);
+  alpha_touched.clear();
+  const int bucket_cap = std::clamp(total / 8, 16, 512);
 
   auto eligible = [&](int j, double dj) {
     const ColStatus s = w.status[static_cast<size_t>(j)];
@@ -254,14 +249,14 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     std::fill(y.begin(), y.end(), 0.0);
     for (int i = 0; i < m_; ++i)
       y[static_cast<size_t>(i)] =
-          w.cost[static_cast<size_t>(w.basis[static_cast<size_t>(i)])];
+          cost_[static_cast<size_t>(w.basis[static_cast<size_t>(i)])];
     timed_btran(y);
     const double t0 = now_seconds();
-    for (int j = 0; j < w.total; ++j) {
+    for (int j = 0; j < total; ++j) {
       d[static_cast<size_t>(j)] =
           w.status[static_cast<size_t>(j)] == ColStatus::kBasic
               ? 0.0
-              : w.cost[static_cast<size_t>(j)] - a_.dot_col(j, y);
+              : cost_[static_cast<size_t>(j)] - a_.dot_col(j, y);
     }
     res.stats.pricing_seconds += now_seconds() - t0;
     d_valid = true;
@@ -275,13 +270,13 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     bucket.clear();
     const int scan_cap = 4 * bucket_cap;
     int scanned = 0;
-    for (int k = 0; k < w.total && static_cast<int>(bucket.size()) < scan_cap;
+    for (int k = 0; k < total && static_cast<int>(bucket.size()) < scan_cap;
          ++k) {
-      const int j = (rotate + k) % w.total;
+      const int j = (rotate + k) % total;
       scanned = k + 1;
       if (eligible(j, d[static_cast<size_t>(j)])) bucket.push_back(j);
     }
-    rotate = (rotate + scanned) % w.total;
+    rotate = (rotate + scanned) % total;
     if (static_cast<int>(bucket.size()) > bucket_cap) {
       std::nth_element(bucket.begin(), bucket.begin() + bucket_cap,
                        bucket.end(), [&](int a, int b) {
@@ -334,9 +329,16 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
           .arg("warm_used", res.warm_used)
           .arg("dual_used", res.dual_used)
           .arg("obj", res.obj)
-          .arg("seconds", res.seconds);
+          .arg("seconds", res.seconds)
+          .arg("factor_s", res.stats.factor_seconds)
+          .arg("ftran_s", res.stats.ftran_seconds)
+          .arg("btran_s", res.stats.btran_seconds)
+          .arg("pricing_s", res.stats.pricing_seconds)
+          .arg("dse_s", res.stats.dse_seconds);
     }
-    return res;
+    // `res` is captured by reference: move it out, or every solve would
+    // copy x and basis.
+    return std::move(res);
   };
 
   long iter = 0;
@@ -357,8 +359,9 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     // bound; a free or one-sided violator makes this basis unusable for
     // the dual loop and we fall back to primal, keeping the basis.
     bool repairable = true;
-    std::vector<int> repair;
-    for (int j = 0; j < w.total; ++j) {
+    std::vector<int>& repair = w.repair;
+    repair.clear();
+    for (int j = 0; j < total; ++j) {
       const ColStatus s = w.status[static_cast<size_t>(j)];
       if (s == ColStatus::kBasic) continue;
       if (w.lb[static_cast<size_t>(j)] == w.ub[static_cast<size_t>(j)])
@@ -397,21 +400,17 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       res.dual_used = true;
 
       // --- Leaving-row pricing weights. Dual steepest edge wants
-      // w_i = ||B^-T e_i||^2. A warm start can often reuse the engine's
-      // cached weights from the previous dual run on the same basis;
-      // anything else starts from unit weights and converges via the
-      // periodic exact recompute.
-      std::vector<double> dw(static_cast<size_t>(m_), 1.0);
-      bool weights_exact = false;
-      if (dse_exact_ && dse_basis_cols_ == w.basis) {
-        dw = dse_weights_;
-        weights_exact = true;
-      }
+      // w_i = ||B^-T e_i||^2. Every dual run starts from unit weights and
+      // converges via the periodic exact recompute.
+      std::vector<double>& dw = w.dw;
+      dw.assign(m_size, 1.0);
+      [[maybe_unused]] bool weights_exact = false;  // read by the debug check
 
       auto exact_weights = [&](std::vector<double>& out) {
         const double t0 = now_seconds();
-        out.assign(static_cast<size_t>(m_), 0.0);
-        std::vector<double> e(static_cast<size_t>(m_));
+        out.assign(m_size, 0.0);
+        std::vector<double>& e = w.e;
+        e.resize(m_size);
         for (int i = 0; i < m_; ++i) {
           std::fill(e.begin(), e.end(), 0.0);
           e[static_cast<size_t>(i)] = 1.0;
@@ -431,15 +430,14 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         alpha_touched.clear();
       };
 
-      struct DualCand {
-        int j;
-        double ratio;  // d_j / (sigma * alpha_j), >= 0 at dual feasibility
-        double step;   // |alpha_j|
-      };
-      std::vector<DualCand> cands;
-      std::vector<int> flip_list;
-      std::vector<double> flip_rhs(static_cast<size_t>(m_));
-      std::vector<double> tau(static_cast<size_t>(m_));
+      std::vector<DualCand>& cands = w.cands;
+      std::vector<int>& flip_list = w.flip_list;
+      std::vector<double>& flip_rhs = w.flip_rhs;
+      std::vector<double>& tau = w.tau;
+      cands.clear();
+      flip_list.clear();
+      flip_rhs.assign(m_size, 0.0);
+      tau.assign(m_size, 0.0);
       long dual_stalled = 0;
       double dual_last_infeas = kInf;
       long since_recompute = 0;
@@ -704,8 +702,8 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         // --- Periodic exact steepest-edge recompute (numerical hygiene)
         // plus, in debug builds, the drift cross-check of the incremental
         // weights. The check only fires while the weights are provably
-        // exact modulo roundoff (cached exact weights or last exact
-        // recompute, no cancellation floor hit since).
+        // exact modulo roundoff (last exact recompute, no cancellation
+        // floor hit since).
         ++since_recompute;
 #ifndef NDEBUG
         if (weights_exact && since_recompute % kDseCheckInterval == 0) {
@@ -725,11 +723,6 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
           ++res.stats.steepest_edge_resets;
         }
       }
-
-      // Park the weights for the next warm re-solve on this engine.
-      dse_basis_cols_ = w.basis;
-      dse_weights_ = dw;
-      dse_exact_ = weights_exact;
     }
   }
 
@@ -765,8 +758,8 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     }
     const double metric = phase1 ? total_infeasibility() : [&] {
       double o = 0.0;
-      for (int j = 0; j < w.total; ++j)
-        o += w.cost[static_cast<size_t>(j)] * w.x[static_cast<size_t>(j)];
+      for (int j = 0; j < total; ++j)
+        o += cost_[static_cast<size_t>(j)] * w.x[static_cast<size_t>(j)];
       return o;
     }();
     if (metric < last_progress_metric - 1e-11) {
@@ -798,18 +791,18 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       } else {
         for (int i = 0; i < m_; ++i)
           y[static_cast<size_t>(i)] =
-              w.cost[static_cast<size_t>(w.basis[static_cast<size_t>(i)])];
+              cost_[static_cast<size_t>(w.basis[static_cast<size_t>(i)])];
       }
       timed_btran(y);
 
       const double t_price = now_seconds();
       double best_score = told;
-      for (int j = 0; j < w.total; ++j) {
+      for (int j = 0; j < total; ++j) {
         const ColStatus s = w.status[static_cast<size_t>(j)];
         if (s == ColStatus::kBasic) continue;
         if (w.lb[static_cast<size_t>(j)] == w.ub[static_cast<size_t>(j)])
           continue;  // fixed, can never move
-        const double cj = phase1 ? 0.0 : w.cost[static_cast<size_t>(j)];
+        const double cj = phase1 ? 0.0 : cost_[static_cast<size_t>(j)];
         const double dj = cj - a_.dot_col(j, y);
         bool elig = false;
         if (s == ColStatus::kAtLower) elig = dj < -told;

@@ -3,7 +3,9 @@
 // The engine solves the LP relaxation of a Model. Branch & bound constructs
 // one engine per model and re-solves with per-node structural bound
 // overrides and warm-started bases, so the (potentially large) constraint
-// matrix is standardized only once.
+// matrix is standardized only once. The engine also keeps its work arrays
+// and LU factors between solves, so a warm re-solve allocates only its
+// result. One engine serves one thread; parallel callers copy it.
 //
 // There is one pivoting configuration. A cold solve runs the two-phase
 // primal loop with candidate-list pricing. A solve from an accepted warm
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <vector>
 
+#include "milp/lu.h"
 #include "milp/model.h"
 #include "milp/sparse.h"
 
@@ -160,14 +163,32 @@ class SimplexEngine {
   double sign_ = 1.0;           // +1 minimize, -1 maximize
   LpOptions opts_;
 
-  // Dual steepest-edge weight cache, carried across solves. Keyed by the
-  // ordered basis column list of the previous dual run's final basis: B&B
-  // workers and probe sessions re-solve on one persistent engine, and the
-  // warm basis they pass back is usually exactly the basis this engine last
-  // left behind, so its (expensive, exact) weights can be reused verbatim.
-  std::vector<int> dse_basis_cols_;
-  std::vector<double> dse_weights_;
-  bool dse_exact_ = false;
+  // Candidate of the dual ratio test.
+  struct DualCand {
+    int j;
+    double ratio;  // d_j / (sigma * alpha_j), >= 0 at dual feasibility
+    double step;   // |alpha_j|
+  };
+
+  // The work state of a solve. The engine keeps it between solves so that a
+  // re-solve reuses its buffers instead of allocating them: once they have
+  // grown to fit, a warm re-solve allocates nothing but its LpResult. Every
+  // solve re-initializes each buffer before reading it, so only capacity
+  // carries over; nothing in here points outside it, so copies are safe.
+  struct Work {
+    std::vector<double> lb, ub;     // size n+m
+    std::vector<ColStatus> status;  // size n+m
+    std::vector<int> basis;         // size m: column at each basis position
+    std::vector<double> x;          // size n+m
+    BasisLu lu;
+    // Scratch of the pricing, ratio-test and weight-update steps.
+    std::vector<double> rhs, y, spike, rho, dw, flip_rhs, tau, e;  // size m
+    std::vector<double> d, alpha;                                 // size n+m
+    std::vector<char> alpha_mark;                                 // size n+m
+    std::vector<int> bucket, alpha_touched, repair, flip_list;
+    std::vector<DualCand> cands;
+  };
+  Work w_;
 };
 
 // One-shot convenience wrapper.

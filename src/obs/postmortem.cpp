@@ -89,6 +89,11 @@ void fold_record(const JsonValue& rec, PostmortemReport& r, Samples& s) {
     if (rec.bool_or("warm_used", false)) ++r.lp_warm_used;
     if (rec.bool_or("dual_used", false)) ++r.lp_dual_used;
     r.lp_seconds += rec.num_or("seconds", 0.0);
+    r.lp_factor_seconds += rec.num_or("factor_s", 0.0);
+    r.lp_ftran_seconds += rec.num_or("ftran_s", 0.0);
+    r.lp_btran_seconds += rec.num_or("btran_s", 0.0);
+    r.lp_pricing_seconds += rec.num_or("pricing_s", 0.0);
+    r.lp_dse_seconds += rec.num_or("dse_s", 0.0);
     return;
   }
   if (type == "bnb.begin") {
@@ -314,6 +319,13 @@ std::string PostmortemReport::to_text() const {
                fmt_long(lp_dual_used) + " (" +
                    fmt_pct(lp_dual_used, lp_solves) + ")"});
     t.add_row({"seconds", fmt_double(lp_seconds, 4)});
+    t.add_row({"  factor seconds", fmt_double(lp_factor_seconds, 4)});
+    t.add_row({"  ftran seconds", fmt_double(lp_ftran_seconds, 4)});
+    t.add_row({"  btran seconds", fmt_double(lp_btran_seconds, 4)});
+    t.add_row({"  pricing seconds", fmt_double(lp_pricing_seconds, 4)});
+    t.add_row({"  dse seconds", fmt_double(lp_dse_seconds, 4)});
+    t.add_row({"  unattributed seconds",
+               fmt_double(lp_unattributed_seconds(), 4)});
     out += t.render();
     out += "\n";
   }
@@ -449,6 +461,12 @@ std::string PostmortemReport::to_json() const {
   w.field("warm_used", lp_warm_used);
   w.field("dual_used", lp_dual_used);
   w.field("seconds", lp_seconds);
+  w.field("factor_seconds", lp_factor_seconds);
+  w.field("ftran_seconds", lp_ftran_seconds);
+  w.field("btran_seconds", lp_btran_seconds);
+  w.field("pricing_seconds", lp_pricing_seconds);
+  w.field("dse_seconds", lp_dse_seconds);
+  w.field("unattributed_seconds", lp_unattributed_seconds());
   w.end_object();
 
   w.key("bnb").begin_object();

@@ -41,6 +41,19 @@ struct PostmortemReport {
   long lp_warm_used = 0;
   long lp_dual_used = 0;
   double lp_seconds = 0.0;
+  // Kernel seconds (LpStageStats) inside lp_seconds; logs written before
+  // lp.solve carried them fold to 0.
+  double lp_factor_seconds = 0.0;
+  double lp_ftran_seconds = 0.0;
+  double lp_btran_seconds = 0.0;
+  double lp_pricing_seconds = 0.0;
+  double lp_dse_seconds = 0.0;
+  // lp_seconds minus the kernel seconds: setup, ratio tests, x updates.
+  double lp_unattributed_seconds() const {
+    return lp_seconds - (lp_factor_seconds + lp_ftran_seconds +
+                         lp_btran_seconds + lp_pricing_seconds +
+                         lp_dse_seconds);
+  }
 
   // --- bnb.* -------------------------------------------------------------
   struct DepthRow {

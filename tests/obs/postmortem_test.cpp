@@ -346,6 +346,63 @@ TEST(Postmortem, FoldsRejectionsPercentilesAndLockSnapshots) {
   EXPECT_EQ(instants, 1);
 }
 
+TEST(Postmortem, FoldsLpKernelSeconds) {
+  // Kernel seconds are optional lp.solve fields: a record without them (an
+  // older log) folds as zero, and the unattributed row is seconds minus the
+  // kernel sum.
+  const std::string jsonl =
+      "{\"type\":\"log.header\",\"t\":0,\"tid\":0,\"schema\":1}\n"
+      "{\"type\":\"lp.solve\",\"t\":1,\"tid\":0,\"iterations\":4,"
+      "\"seconds\":2,\"factor_s\":0.5,\"ftran_s\":0.25,\"btran_s\":0.125,"
+      "\"pricing_s\":0.0625,\"dse_s\":0.03125}\n"
+      "{\"type\":\"lp.solve\",\"t\":2,\"tid\":0,\"iterations\":1,"
+      "\"seconds\":1,\"factor_s\":0.5,\"ftran_s\":0.25,\"btran_s\":0.125,"
+      "\"pricing_s\":0.0625,\"dse_s\":0.03125}\n"
+      "{\"type\":\"lp.solve\",\"t\":3,\"tid\":0,\"iterations\":2,"
+      "\"seconds\":1}\n";
+  const PostmortemReport report = analyze_ok(jsonl);
+  EXPECT_EQ(report.lp_solves, 3);
+  EXPECT_EQ(report.lp_seconds, 4.0);
+  EXPECT_EQ(report.lp_factor_seconds, 1.0);
+  EXPECT_EQ(report.lp_ftran_seconds, 0.5);
+  EXPECT_EQ(report.lp_btran_seconds, 0.25);
+  EXPECT_EQ(report.lp_pricing_seconds, 0.125);
+  EXPECT_EQ(report.lp_dse_seconds, 0.0625);
+  EXPECT_EQ(report.lp_unattributed_seconds(), 2.0625);
+  const std::string text = report.to_text();
+  EXPECT_NE(text.find("factor seconds"), std::string::npos) << text;
+  EXPECT_NE(text.find("unattributed seconds"), std::string::npos) << text;
+  JsonValue json;
+  std::string error;
+  ASSERT_TRUE(parse_json(report.to_json(), &json, &error)) << error;
+  const JsonValue* lp = json.find("lp");
+  ASSERT_NE(lp, nullptr);
+  EXPECT_EQ(lp->num_or("factor_seconds", -1.0), 1.0);
+  EXPECT_EQ(lp->num_or("unattributed_seconds", -1.0), 2.0625);
+
+  // On a real solve the fold matches the solver's own stage stats.
+  EventLog log;
+  log.open_memory();
+  milp::MipOptions opts;
+  opts.events = &log;
+  opts.num_threads = 1;
+  const milp::MipResult res =
+      milp::solve_milp(coupled_binary_model(11, 16), opts);
+  log.close();
+  const PostmortemReport real = analyze_ok(log.memory_contents());
+  const milp::LpStageStats& st = res.lp_stats;
+  const auto near = [](double got, double want) {
+    EXPECT_NEAR(got, want, 1e-9 * (1.0 + want));
+  };
+  near(real.lp_factor_seconds, st.factor_seconds);
+  near(real.lp_ftran_seconds, st.ftran_seconds);
+  near(real.lp_btran_seconds, st.btran_seconds);
+  near(real.lp_pricing_seconds, st.pricing_seconds);
+  near(real.lp_dse_seconds, st.dse_seconds);
+  EXPECT_GT(real.lp_factor_seconds, 0.0);
+  EXPECT_GE(real.lp_unattributed_seconds(), -1e-9);
+}
+
 TEST(Metrics, JsonDumpCarriesPercentiles) {
   std::string jsonl =
       "{\"type\":\"log.header\",\"t\":0,\"tid\":0,\"schema\":1}\n";

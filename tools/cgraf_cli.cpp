@@ -304,6 +304,20 @@ int cmd_gen(const Args& args) {
                        return v && *v > 0.0 && *v <= 1.0 ? v : std::nullopt;
                      }))
       return 1;
+    // The generator gives each context lround(usage * pes * jitter) ops,
+    // jitter < 1.05, clamped to pes: refuse a request whose op count could
+    // pass the loaders' max_ops before spending any time generating it.
+    const long pes = static_cast<long>(spec.fabric_dim) * spec.fabric_dim;
+    const long max_per_context = std::min(
+        pes, static_cast<long>(std::ceil(1.05 * spec.usage *
+                                         static_cast<double>(pes))));
+    if (spec.contexts * max_per_context > limits.max_ops) {
+      std::fprintf(stderr,
+                   "--contexts %d with up to %ld ops per context can exceed "
+                   "the %d-op input limit\n",
+                   spec.contexts, max_per_context, limits.max_ops);
+      return 1;
+    }
   }
   if (!read_seed(args, "seed", &spec.seed)) return 1;
   const auto bench = workloads::generate_benchmark(spec);

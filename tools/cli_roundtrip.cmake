@@ -79,6 +79,10 @@ foreach(flag "--seed;bogus" "--seed;12x" "--contexts;4294967300"
              "--usage;nan" "--dim;260")
   expect_rejected("${CLI}" gen ${flag} --out "${WORK}/x.out")
 endforeach()
+# Each value passes its own range check, but together they ask for up to
+# 4096 x 400 ops, past the loaders' 1 M-op limit.
+expect_rejected("${CLI}" gen --contexts 4096 --dim 20 --usage 1
+                --out "${WORK}/x.out")
 expect_exit(0 "${CLI}" gen --contexts 4 --dim 4 --usage 0.5 --seed 7
             --out "${WORK}/custom.cgraf")
 expect_rejected("${CLI}" place --design "${WORK}/d.cgraf" --seed -1

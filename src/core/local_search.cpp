@@ -570,6 +570,7 @@ LocalSearchResult local_search_remap(const RemapModelSpec& spec,
       .arg("accepted", res.stats.moves_accepted)
       .arg("oracle_calls", res.stats.oracle_calls)
       .arg("oracle_rejections", res.stats.oracle_rejections)
+      .arg("start_repairs", res.stats.start_repairs)
       .arg("feasible", res.feasible)
       .arg("score", res.score)
       .arg("st_target", spec.st_target)

@@ -6,7 +6,6 @@
 #include "core/portfolio.h"
 #include "core/probe_session.h"
 #include "obs/event_log.h"
-#include "obs/progress.h"
 #include "util/ascii.h"
 #include "util/check.h"
 #include "util/clock.h"
@@ -169,7 +168,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       opts.mode == RemapMode::kRotate ? 1 + std::max(0, opts.rotation_retries)
                                       : 1;
   for (int round = 0; round < rotation_rounds; ++round) {
-    ++res.rotation_attempts;
     Floorplan base = baseline;
     if (opts.mode == RemapMode::kRotate) {
       RotationOptions ropts;
@@ -258,12 +256,8 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         base = baseline;
         candidates = id_cand;
         st_target = id_target;
-        obs::Progress::global().logf(
-            opts.verbose, "  [remap] identity geometry wins presearch");
       }
     }
-    obs::Progress::global().logf(
-        opts.verbose, "  [remap] lp presearch -> st_target=%.4f", st_target);
 
     TwoStepOptions solver_opts = opts.solver;
     // Exact strategies drive the rounding mode from the strategy table
@@ -327,7 +321,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       if (opts.strategy == SolveStrategy::kLocalSearch) {
         heur_spec.st_target = target;
         const LocalSearchResult lsr = local_search_remap(heur_spec, ls_opts);
-        res.ls_stats.add(lsr.stats);
         solved_ok = lsr.feasible;
         oracle_certified = lsr.certified;
         if (solved_ok) solved_fp = lsr.floorplan;
@@ -337,17 +330,11 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         popts.ls = ls_opts;
         const PortfolioResult pr =
             race_portfolio(attempt_session, heur_spec, target, popts);
-        ++res.portfolio_races;
-        res.ls_stats.add(pr.ls.stats);
-        res.last_solve = pr.exact.stats;
-        if (pr.incumbent_seeded) ++res.portfolio_seeded;
         if (pr.winner == PortfolioWinner::kExact) {
-          ++res.portfolio_exact_wins;
           solved_ok = true;
           solved_fp = pr.exact.floorplan;
           vars = attempt_session.model().num_binary_vars;
         } else if (pr.winner == PortfolioWinner::kLocalSearch) {
-          ++res.portfolio_ls_wins;
           solved_ok = true;
           oracle_certified = true;
           solved_fp = pr.ls.floorplan;
@@ -355,7 +342,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         status_str = std::string("portfolio_") + to_string(pr.winner);
       } else {
         const TwoStepResult solved = attempt_session.solve(target);
-        res.last_solve = solved.stats;
         vars = attempt_session.model().num_binary_vars;
         status_str = milp::to_string(solved.status);
         if (solved.status == milp::SolveStatus::kOptimal) {
@@ -365,6 +351,9 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       }
 
       bool cpd_ok = false;
+      // Set when the floorplan certificate rejects the solution; the
+      // attempt then fails without an STA re-check.
+      std::string certify_error;
       if (solved_ok) {
         CGRAF_ASSERT(is_valid(design, solved_fp, &why));
         if (opts.verify.enabled && !oracle_certified) {
@@ -379,35 +368,27 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
               verify::certify_floorplan(fspec, solved_fp);
           if (!cert.ok) {
             ++res.certify_rejections;
-            obs::Progress::global().logf(
-                opts.verbose, "  [remap] certification rejected attempt: %s",
-                cert.summary().c_str());
-            return false;
+            certify_error = cert.summary();
           }
         }
-        const timing::StaResult sta1 = run_sta(graph, solved_fp);
-        cpd_ok = sta1.cpd_ns <= res.cpd_before_ns + 1e-9;
-        if (cpd_ok) {
-          out = std::move(solved_fp);
-          out_cpd = sta1.cpd_ns;
+        if (certify_error.empty()) {
+          const timing::StaResult sta1 = run_sta(graph, solved_fp);
+          cpd_ok = sta1.cpd_ns <= res.cpd_before_ns + 1e-9;
+          if (cpd_ok) {
+            out = std::move(solved_fp);
+            out_cpd = sta1.cpd_ns;
+          }
         }
       }
-      obs::Event(events, "remap.attempt")
-          .arg("iter", res.outer_iterations)
+      obs::Event ev(events, "remap.attempt");
+      ev.arg("iter", res.outer_iterations)
           .arg("st_target", target)
           .arg("status", status_str)
           .arg("strategy", to_string(opts.strategy))
           .arg("cpd_ok", cpd_ok)
           .arg("vars", vars)
           .arg("seconds", now_seconds() - t_iter);
-      obs::Progress::global().logf(
-          opts.verbose,
-          "  [remap] iter=%d st_target=%.4f vars=%d status=%s "
-          "cpd_ok=%d rounds=%d fixed=%d nodes=%ld %.2fs",
-          res.outer_iterations, target, vars, status_str.c_str(),
-          cpd_ok ? 1 : 0, res.last_solve.dive_rounds,
-          res.last_solve.vars_fixed, res.last_solve.mip_nodes,
-          now_seconds() - t_iter);
+      if (!certify_error.empty()) ev.arg("certify_error", certify_error);
       return cpd_ok;
     };
 

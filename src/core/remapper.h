@@ -66,7 +66,6 @@ struct RemapOptions {
   bool warm_probes = true;
 
   std::uint64_t seed = 1;
-  bool verbose = false;  // per-iteration progress on stderr
 
   CandidateOptions candidates{};
   StTargetOptions st_search{};
@@ -119,24 +118,17 @@ struct RemapResult {
   aging::MttfReport mttf_after;
   double mttf_gain = 1.0;  // MTTF_after / MTTF_before (Table I metric)
 
+  // Per-attempt solver, local-search and portfolio counters live in the
+  // solve-event log (opts.solver.events): the remap.attempt, twostep.solve,
+  // ls.search and portfolio.result records that `cgraf_cli analyze` folds.
   int outer_iterations = 0;
   int num_frozen_ops = 0;
   int num_monitored_paths = 0;
-  int rotation_attempts = 0;
   // Aggregated incremental-probe accounting across the presearch and the
   // Delta loop (see ProbeSessionStats).
   int probe_warm_hits = 0;
   int probe_basis_fallbacks = 0;
   int probe_model_rebuilds = 0;
-  TwoStepStats last_solve;
-  // Local-search accounting, aggregated over every attempt that ran the
-  // heuristic (kLocalSearch and the portfolio's LS side + sprints).
-  LocalSearchStats ls_stats;
-  // Portfolio race outcomes across the Delta loop.
-  int portfolio_races = 0;
-  int portfolio_exact_wins = 0;
-  int portfolio_ls_wins = 0;
-  int portfolio_seeded = 0;  // races whose exact side got an LS incumbent
   double seconds = 0.0;
   std::string note;  // human-readable outcome summary
 

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "obs/event_log.h"
-#include "obs/progress.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/sync.h"
@@ -323,12 +322,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
       // Everything after the LP is cheap; classify the node and prepare any
       // incumbent candidate / children outside the lock, then fold in.
       const double node_bound = sign * lp.obj;
-      if ((node_seq & 255) == 0) {
-        obs::Progress::global().tickf(
-            "  [bnb] nodes=%ld depth=%d bound=%.6g incumbent=%s", node_seq,
-            node.depth, node_bound,
-            incumbent_at_pop < kInf ? "yes" : "no");
-      }
       int branch_var = -1;
       double branch_val = 0.0;
       bool cand_ok = false;

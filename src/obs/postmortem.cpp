@@ -164,14 +164,31 @@ void fold_record(const JsonValue& rec, PostmortemReport& r, Samples& s) {
   }
   if (type == "remap.attempt") {
     ++r.remap_attempts;
-    if (rec.bool_or("cpd_ok", false)) ++r.remap_attempts_cpd_ok;
+    PostmortemReport::Attempt a;
+    a.t_us = t_us;
+    a.iter = rec.int_or("iter", 0);
+    a.st_target = rec.num_or("st_target", 0.0);
+    a.strategy = rec.str_or("strategy", "?");
+    a.status = rec.str_or("status", "?");
+    a.cpd_ok = rec.bool_or("cpd_ok", false);
+    a.seconds = rec.num_or("seconds", 0.0);
+    a.certify_error = rec.str_or("certify_error", "");
+    if (a.cpd_ok) {
+      ++r.remap_attempts_cpd_ok;
+      r.remap_attempt_ok_seconds += a.seconds;
+    } else {
+      r.remap_attempt_failed_seconds += a.seconds;
+    }
+    r.attempts.push_back(std::move(a));
     return;
   }
   if (type == "ls.search") {
     ++r.ls_searches;
     r.ls_moves_examined += rec.int_or("examined", 0);
     r.ls_moves_accepted += rec.int_or("accepted", 0);
+    r.ls_oracle_calls += rec.int_or("oracle_calls", 0);
     r.ls_oracle_rejections += rec.int_or("oracle_rejections", 0);
+    r.ls_start_repairs += rec.int_or("start_repairs", 0);
     return;
   }
   if (type == "portfolio.result") {
@@ -383,6 +400,28 @@ std::string PostmortemReport::to_text() const {
     out += "\n";
   }
 
+  if (!attempts.empty()) {
+    out += "--- remap attempts (" + fmt_long(remap_attempts_cpd_ok) +
+           " of " + fmt_long(remap_attempts) + " cpd-ok) ---\n";
+    AsciiTable t({"t (ms)", "iter", "st_target", "strategy", "status",
+                  "cpd ok", "sec"});
+    for (const Attempt& a : attempts) {
+      t.add_row({fmt_double(a.t_us / 1e3, 3), fmt_long(a.iter),
+                 fmt_double(a.st_target, 4), a.strategy, a.status,
+                 a.cpd_ok ? "yes" : "no", fmt_double(a.seconds, 4)});
+    }
+    out += t.render();
+    for (const Attempt& a : attempts) {
+      if (!a.certify_error.empty()) {
+        out += "iter " + fmt_long(a.iter) +
+               " rejected by certification: " + a.certify_error + "\n";
+      }
+    }
+    out += "seconds: " + fmt_double(remap_attempt_ok_seconds, 4) +
+           " in cpd-ok attempts, " +
+           fmt_double(remap_attempt_failed_seconds, 4) + " in the others\n\n";
+  }
+
   if (remap_runs > 0 || remap_attempts > 0 || st_searches > 0 ||
       twostep_solves > 0 || probes > 0 || ls_searches > 0 ||
       portfolio_races > 0) {
@@ -401,7 +440,9 @@ std::string PostmortemReport::to_text() const {
                  fmt_long(ls_searches) + " (" +
                      fmt_long(ls_moves_accepted) + "/" +
                      fmt_long(ls_moves_examined) + " moves, " +
-                     fmt_long(ls_oracle_rejections) + " oracle-rejected)"});
+                     fmt_long(ls_oracle_calls) + " oracle calls, " +
+                     fmt_long(ls_oracle_rejections) + " oracle-rejected, " +
+                     fmt_long(ls_start_repairs) + " start repairs)"});
     }
     if (portfolio_races > 0) {
       t.add_row({"portfolio races",
@@ -524,16 +565,35 @@ std::string PostmortemReport::to_json() const {
   w.end_array();
   w.end_object();
 
+  w.key("attempts").begin_array();
+  for (const Attempt& a : attempts) {
+    w.begin_object();
+    w.field("t_us", a.t_us);
+    w.field("iter", a.iter);
+    w.field("st_target", a.st_target);
+    w.field("strategy", a.strategy);
+    w.field("status", a.status);
+    w.field("cpd_ok", a.cpd_ok);
+    w.field("seconds", a.seconds);
+    if (!a.certify_error.empty()) w.field("certify_error", a.certify_error);
+    w.end_object();
+  }
+  w.end_array();
+
   w.key("pipeline").begin_object();
   w.field("st_searches", st_searches);
   w.field("twostep_solves", twostep_solves);
   w.field("remap_runs", remap_runs);
   w.field("remap_attempts", remap_attempts);
   w.field("remap_attempts_cpd_ok", remap_attempts_cpd_ok);
+  w.field("remap_attempt_ok_seconds", remap_attempt_ok_seconds);
+  w.field("remap_attempt_failed_seconds", remap_attempt_failed_seconds);
   w.field("ls_searches", ls_searches);
   w.field("ls_moves_examined", ls_moves_examined);
   w.field("ls_moves_accepted", ls_moves_accepted);
+  w.field("ls_oracle_calls", ls_oracle_calls);
   w.field("ls_oracle_rejections", ls_oracle_rejections);
+  w.field("ls_start_repairs", ls_start_repairs);
   w.field("portfolio_races", portfolio_races);
   w.field("portfolio_exact_wins", portfolio_exact_wins);
   w.field("portfolio_ls_wins", portfolio_ls_wins);

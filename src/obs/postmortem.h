@@ -3,8 +3,9 @@
 // Reconstructs, from the JSONL event stream alone, what the solver pipeline
 // did: the branch & bound tree (per-depth node/LP-iteration breakdown,
 // action mix, pruning efficacy), the incumbent-improvement timeline, the
-// ST_target probe chain with warm-hit rates, LP-iteration totals per record
-// family, certificate rejections, exact percentiles and lock contention.
+// ST_target probe chain with warm-hit rates, the Delta-relaxation attempt
+// table, LP-iteration totals per record family, certificate rejections,
+// exact percentiles and lock contention.
 // The totals are exact — every LP solve and every counted B&B node emits
 // exactly one record — so `cgraf_cli analyze` can be cross-checked against
 // the in-process solver stats. The same stream renders as a Chrome trace
@@ -103,12 +104,30 @@ struct PostmortemReport {
   long remap_runs = 0;            // remap.end records
   long remap_attempts = 0;
   long remap_attempts_cpd_ok = 0;
+  // remap.attempt seconds split by verdict: attempts whose floorplan passed
+  // the STA re-check, and every other attempt (solver failure, certificate
+  // rejection, CPD growth).
+  double remap_attempt_ok_seconds = 0.0;
+  double remap_attempt_failed_seconds = 0.0;
+  struct Attempt {
+    double t_us = 0.0;
+    long iter = 0;
+    double st_target = 0.0;
+    std::string strategy;
+    std::string status;
+    bool cpd_ok = false;
+    double seconds = 0.0;
+    std::string certify_error;  // empty unless certification rejected it
+  };
+  std::vector<Attempt> attempts;  // in emission order
 
   // --- ls.search / portfolio.result ---------------------------------------
   long ls_searches = 0;           // ls.search records
   long ls_moves_examined = 0;
   long ls_moves_accepted = 0;
+  long ls_oracle_calls = 0;
   long ls_oracle_rejections = 0;
+  long ls_start_repairs = 0;
   long portfolio_races = 0;       // portfolio.result records
   long portfolio_exact_wins = 0;
   long portfolio_ls_wins = 0;

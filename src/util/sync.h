@@ -82,7 +82,7 @@ namespace cgraf {
 namespace lock_rank {
 // milp: branch & bound shared search state (node pool, incumbent, worker
 // coordination). Lowest rank: workers publish results into the obs layer
-// (rank >= 20) while holding it during result assembly.
+// (rank >= 45) while holding it during result assembly.
 inline constexpr int kBnbShared = 10;
 // core: portfolio race coordination (winner slot + finish signaling).
 // Racer threads never hold it while running a solver, and the coordinator
@@ -90,8 +90,6 @@ inline constexpr int kBnbShared = 10;
 // shared state and the obs layer (the publish path emits obs events only
 // after unlocking).
 inline constexpr int kPortfolio = 15;
-// obs: progress reporter output serialization.
-inline constexpr int kObsProgress = 20;
 // obs: event-log buffer registry (the list of per-thread buffers).
 inline constexpr int kObsEventLog = 45;
 // obs: one per-thread event buffer. Acquired after the registry on the

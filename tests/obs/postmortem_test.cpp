@@ -228,6 +228,19 @@ TEST(Postmortem, RemapRunReconstructsPipeline) {
   }
   EXPECT_EQ(report.floorplan_rejections, res.certify_rejections);
   EXPECT_GE(report.dive_rounds.count, 1);
+  // One attempt entry per Delta-loop attempt, certificate rejections
+  // included. The returned target is the last one that passed the STA
+  // re-check (JsonWriter prints %.12g).
+  ASSERT_EQ(static_cast<long>(report.attempts.size()),
+            static_cast<long>(res.outer_iterations));
+  if (res.improved) {
+    const auto last_ok =
+        std::find_if(report.attempts.rbegin(), report.attempts.rend(),
+                     [](const PostmortemReport::Attempt& a) { return a.cpd_ok; });
+    ASSERT_NE(last_ok, report.attempts.rend());
+    EXPECT_NEAR(last_ok->st_target, res.st_target_final,
+                1e-11 * std::abs(res.st_target_final));
+  }
   // The sync.mutex snapshot folds into the lock table unchanged.
   const MutexStats lock = mu.stats();
   ASSERT_EQ(report.locks.count("test.postmortem.lock"), 1u);
@@ -344,6 +357,83 @@ TEST(Postmortem, FoldsRejectionsPercentilesAndLockSnapshots) {
   }
   EXPECT_EQ(spans, 1);
   EXPECT_EQ(instants, 1);
+}
+
+TEST(Postmortem, FoldsRemapAttempts) {
+  // A cpd-ok, a failed and a certificate-rejected attempt, in emission
+  // order; only the rejected one carries the optional certify_error.
+  const std::string jsonl =
+      "{\"type\":\"log.header\",\"t\":0,\"tid\":0,\"schema\":1}\n"
+      "{\"type\":\"remap.attempt\",\"t\":1000,\"tid\":0,\"iter\":1,"
+      "\"st_target\":1.25,\"status\":\"optimal\",\"strategy\":\"dive\","
+      "\"cpd_ok\":true,\"vars\":12,\"seconds\":0.5}\n"
+      "{\"type\":\"remap.attempt\",\"t\":2000,\"tid\":0,\"iter\":2,"
+      "\"st_target\":0.75,\"status\":\"node-limit\",\"strategy\":\"dive\","
+      "\"cpd_ok\":false,\"vars\":12,\"seconds\":0.25}\n"
+      "{\"type\":\"remap.attempt\",\"t\":3000,\"tid\":0,\"iter\":3,"
+      "\"st_target\":1,\"status\":\"optimal\",\"strategy\":\"dive\","
+      "\"cpd_ok\":false,\"vars\":12,\"seconds\":0.125,"
+      "\"certify_error\":\"stress: PE 3 carries 1.5 > 1\"}\n";
+  const PostmortemReport report = analyze_ok(jsonl);
+  EXPECT_EQ(report.remap_attempts, 3);
+  EXPECT_EQ(report.remap_attempts_cpd_ok, 1);
+  EXPECT_EQ(report.remap_attempt_ok_seconds, 0.5);
+  EXPECT_EQ(report.remap_attempt_failed_seconds, 0.375);
+  ASSERT_EQ(report.attempts.size(), 3u);
+  const PostmortemReport::Attempt& ok = report.attempts[0];
+  EXPECT_EQ(ok.t_us, 1000.0);
+  EXPECT_EQ(ok.iter, 1);
+  EXPECT_EQ(ok.st_target, 1.25);
+  EXPECT_EQ(ok.strategy, "dive");
+  EXPECT_EQ(ok.status, "optimal");
+  EXPECT_TRUE(ok.cpd_ok);
+  EXPECT_EQ(ok.seconds, 0.5);
+  EXPECT_TRUE(ok.certify_error.empty());
+  EXPECT_EQ(report.attempts[1].iter, 2);
+  EXPECT_EQ(report.attempts[1].status, "node-limit");
+  EXPECT_FALSE(report.attempts[1].cpd_ok);
+  EXPECT_TRUE(report.attempts[1].certify_error.empty());
+  EXPECT_EQ(report.attempts[2].iter, 3);
+  EXPECT_FALSE(report.attempts[2].cpd_ok);
+  EXPECT_EQ(report.attempts[2].certify_error, "stress: PE 3 carries 1.5 > 1");
+
+  const std::string text = report.to_text();
+  EXPECT_NE(text.find("--- remap attempts (1 of 3 cpd-ok) ---"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("node-limit"), std::string::npos) << text;
+  EXPECT_NE(text.find("iter 3 rejected by certification: stress: PE 3"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("seconds: 0.5000 in cpd-ok attempts, 0.3750 in the "
+                      "others"),
+            std::string::npos)
+      << text;
+  // The table rows come in emission order.
+  EXPECT_LT(text.find("| 1.2500"), text.find("| 0.7500"));
+  EXPECT_LT(text.find("| 0.7500"), text.find("| 1.0000"));
+
+  const std::string json = report.to_json();
+  std::string why;
+  ASSERT_TRUE(test::JsonChecker::valid(json, &why)) << why << "\n" << json;
+  JsonValue doc;
+  ASSERT_TRUE(parse_json(json, &doc, &why)) << why;
+  const JsonValue* attempts = doc.find("attempts");
+  ASSERT_TRUE(attempts != nullptr && attempts->is_array());
+  ASSERT_EQ(attempts->arr.size(), 3u);
+  EXPECT_EQ(attempts->arr[0].num_or("st_target", -1.0), 1.25);
+  EXPECT_TRUE(attempts->arr[0].bool_or("cpd_ok", false));
+  EXPECT_EQ(attempts->arr[1].str_or("status", ""), "node-limit");
+  EXPECT_EQ(attempts->arr[2].int_or("iter", -1), 3);
+  EXPECT_EQ(attempts->arr[2].num_or("seconds", -1.0), 0.125);
+  EXPECT_EQ(attempts->arr[0].find("certify_error"), nullptr);
+  EXPECT_EQ(attempts->arr[1].find("certify_error"), nullptr);
+  EXPECT_EQ(attempts->arr[2].str_or("certify_error", ""),
+            "stress: PE 3 carries 1.5 > 1");
+  const JsonValue* pipeline = doc.find("pipeline");
+  ASSERT_NE(pipeline, nullptr);
+  EXPECT_EQ(pipeline->num_or("remap_attempt_ok_seconds", -1.0), 0.5);
+  EXPECT_EQ(pipeline->num_or("remap_attempt_failed_seconds", -1.0), 0.375);
 }
 
 TEST(Postmortem, FoldsLpKernelSeconds) {

@@ -1,12 +1,11 @@
-// TSan stress: hammer the progress reporter from many threads at once,
-// emit records from many threads and export them as a Chrome trace, and
-// snapshot mutex contention into the event log while the mutex is busy.
+// TSan stress: emit records from many threads and export them as a Chrome
+// trace, and snapshot mutex contention into the event log while the mutex
+// is busy.
 // These run under -fsanitize=thread in CI (the ObsStress ctest filter); the
 // exact count assertions double as lost-update checks under plain builds.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -15,7 +14,6 @@
 #include "obs/event_log.h"
 #include "obs/json_reader.h"
 #include "obs/postmortem.h"
-#include "obs/progress.h"
 #include "util/sync.h"
 
 namespace cgraf::obs {
@@ -23,26 +21,6 @@ namespace {
 
 constexpr int kThreads = 8;
 constexpr int kIters = 500;
-
-TEST(ObsStress, ProgressTickClaimsOneWindowAcrossThreads) {
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  Progress& p = Progress::global();
-  const long before = p.lines_emitted();
-  p.configure(true, /*min_interval_s=*/1e9, sink);
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&p] {
-      for (int i = 0; i < kIters; ++i) p.tickf("stress tick %d", i);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  p.configure(false);
-  std::fclose(sink);
-  // The CAS window admits exactly one line for the (huge) interval.
-  EXPECT_EQ(p.lines_emitted() - before, 1);
-}
 
 TEST(ObsStress, TracerUnderThreads) {
   EventLog log;

@@ -32,14 +32,12 @@
 #include "core/analysis.h"
 #include "cgrra/stress.h"
 #include "core/remapper.h"
-#include "core/report.h"
 #include "hls/placer.h"
 #include "verify/certify.h"
 #include "verify/input_lint.h"
 #include "verify/model_lint.h"
 #include "obs/event_log.h"
 #include "obs/postmortem.h"
-#include "obs/progress.h"
 #include "timing/sta.h"
 #include "util/ascii.h"
 #include "workloads/suite.h"
@@ -60,7 +58,8 @@ int usage(int code = 2) {
                "         [--strategy dive|fix-once|ilp|ls|portfolio]"
                " [--ls-seed S] [--ls-iters N] [--threads N]"
                " [--warm-probes on|off]\n"
-               "         [--verbose]\n"
+               "         [--verbose]  (end with the run's post-mortem, as"
+               " `analyze` prints it)\n"
                "  report --design FILE --floorplan FILE [--compare FILE]\n"
                "  lint   --design FILE --floorplan FILE [--st-target X]"
                " [--margin F] [--json] [--no-info]\n"
@@ -85,17 +84,14 @@ int usage(int code = 2) {
                "observability (every command but analyze):\n"
                "  --log-events FILE write structured solve events as JSONL"
                " (see `analyze`)\n"
-               "  --progress        rate-limited progress heartbeats on"
-               " stderr\n"
                "  --help            show this message\n");
   return code;
 }
 
 // Boolean switches (no value); everything else consumes the next argv.
 bool is_switch(const std::string& key) {
-  return key == "paper-scale" || key == "verbose" || key == "progress" ||
-         key == "help" || key == "json" || key == "no-info" ||
-         key == "inputs";
+  return key == "paper-scale" || key == "verbose" || key == "help" ||
+         key == "json" || key == "no-info" || key == "inputs";
 }
 
 // Minimal flag parser: every option takes a value except boolean switches.
@@ -128,12 +124,12 @@ struct Args {
   }
 
   // Rejects flags outside the command's allowed set so typos fail loudly
-  // instead of being silently ignored. The observability flags are legal
+  // instead of being silently ignored. The observability flag is legal
   // with every command that runs the solver, i.e. all but analyze.
   bool check_allowed(std::set<std::string> allowed,
                      bool observability = true) {
     allowed.insert("help");
-    if (observability) allowed.insert({"log-events", "progress"});
+    if (observability) allowed.insert("log-events");
     for (const auto& [key, value] : values) {
       if (allowed.count(key) == 0) {
         ok = false;
@@ -373,7 +369,6 @@ int cmd_remap(const Args& args) {
       // `--threads 0` means all hardware threads.
       !read_int(args, "threads", &opts.solver.mip.num_threads, 0, 4096))
     return 1;
-  opts.verbose = args.has("verbose");
   // Every floorplan the CLI writes carries the independent certificate.
   opts.verify.enabled = true;
   // Solve strategy, resolved through the one shared table
@@ -422,9 +417,9 @@ int cmd_remap(const Args& args) {
     std::fprintf(stderr, "input floorplan invalid: %s\n", why.c_str());
     return 1;
   }
-  // --log-events: hand the pipeline the process-wide event log; the
-  // remapper propagates the pointer down to the ST search, probe sessions
-  // and every LP/B&B solve. A disabled log costs nothing here.
+  // --log-events / --verbose: hand the pipeline the process-wide event log;
+  // the remapper propagates the pointer down to the ST search, probe
+  // sessions and every LP/B&B solve. A disabled log costs nothing here.
   if (obs::EventLog::global().enabled())
     opts.solver.events = &obs::EventLog::global();
 
@@ -435,25 +430,7 @@ int cmd_remap(const Args& args) {
     return 1;
   }
   std::printf("wrote %s\n", out->c_str());
-  if (args.has("verbose")) {
-    // The last solve's counters, including how much of the LP work the
-    // dual loop carried on warm re-solves.
-    std::printf("%s", core::format_solver_stats(result.last_solve).c_str());
-  }
-  std::printf("strategy: %s", core::to_string(opts.strategy));
-  if (result.portfolio_races > 0) {
-    std::printf(" | races: %d (exact %d, ls %d, seeded %d)",
-                result.portfolio_races, result.portfolio_exact_wins,
-                result.portfolio_ls_wins, result.portfolio_seeded);
-  }
-  if (result.ls_stats.restarts_run > 0) {
-    std::printf(" | ls: %ld/%ld moves, %ld oracle calls",
-                result.ls_stats.moves_accepted,
-                result.ls_stats.moves_examined, result.ls_stats.oracle_calls);
-    if (result.ls_stats.start_repairs > 0)
-      std::printf(", %ld start repairs", result.ls_stats.start_repairs);
-  }
-  std::printf("\n");
+  std::printf("strategy: %s\n", core::to_string(opts.strategy));
   std::printf("cpd: %.3f -> %.3f ns | max stress: %.3f -> %.3f | "
               "MTTF: %.2f -> %.2f years (%.2fx)\n",
               result.cpd_before_ns, result.cpd_after_ns, result.st_max_before,
@@ -743,13 +720,15 @@ int cmd_certify(const Args& args) {
   return cert.ok ? 0 : 1;
 }
 
-int cmd_analyze(const std::string& path, const Args& args) {
+// Folds an event-log text and prints its post-mortem to stdout: the JSON
+// document when `json`, else the text tables. Returns false, with the
+// problem on stderr, when the log is unusable.
+bool print_postmortem(const std::string& jsonl, bool json) {
   obs::PostmortemReport report;
   std::string error;
-  const auto text = read_file(path, &error);
-  if (!text || !obs::analyze_events(*text, &report, &error)) {
+  if (!obs::analyze_events(jsonl, &report, &error)) {
     std::fprintf(stderr, "analyze: %s\n", error.c_str());
-    return 1;
+    return false;
   }
   if (!report.parse_errors.empty()) {
     std::fprintf(stderr,
@@ -758,17 +737,28 @@ int cmd_analyze(const std::string& path, const Args& args) {
                  report.parse_errors.size(), report.parse_errors.front().first,
                  report.parse_errors.front().second.c_str());
   }
+  if (json) {
+    std::printf("%s\n", report.to_json().c_str());
+  } else {
+    std::printf("%s", report.to_text().c_str());
+  }
+  return true;
+}
+
+int cmd_analyze(const std::string& path, const Args& args) {
+  std::string error;
+  const auto text = read_file(path, &error);
+  if (!text) {
+    std::fprintf(stderr, "analyze: %s\n", error.c_str());
+    return 1;
+  }
+  if (!print_postmortem(*text, args.has("json"))) return 1;
   if (const auto trace = args.get("chrome-trace")) {
     if (!write_file(*trace, obs::chrome_trace(*text), &error)) {
       std::fprintf(stderr, "analyze: %s\n", error.c_str());
       return 1;
     }
     std::fprintf(stderr, "chrome trace: %s\n", trace->c_str());
-  }
-  if (args.has("json")) {
-    std::printf("%s\n", report.to_json().c_str());
-  } else {
-    std::printf("%s", report.to_text().c_str());
   }
   return 0;
 }
@@ -828,21 +818,21 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  // Observability: the event log and progress lines wrap whatever command
-  // runs.
+  // Observability: the event log wraps whatever command runs. --verbose
+  // (remap only) records into memory unless --log-events names a file.
+  obs::EventLog& log = obs::EventLog::global();
   const auto events_path = args.get("log-events");
+  const bool verbose = args.has("verbose");
   if (events_path) {
     std::string open_error;
-    if (!obs::EventLog::global().open(*events_path, &open_error)) {
+    if (!log.open(*events_path, &open_error)) {
       std::fprintf(stderr, "failed to open event log: %s\n",
                    open_error.c_str());
       return 1;
     }
+  } else if (verbose) {
+    log.open_memory();
   }
-  if (args.has("progress"))
-    obs::Progress::global().configure(true, /*min_interval_s=*/0.5);
-  else if (args.has("verbose"))
-    obs::Progress::global().configure(true, /*min_interval_s=*/0.0);
 
   int code = 2;
   if (cmd == "gen") code = cmd_gen(args);
@@ -852,11 +842,20 @@ int main(int argc, char** argv) {
   else if (cmd == "lint") code = cmd_lint(args);
   else if (cmd == "certify") code = cmd_certify(args);
 
-  if (events_path) {
+  if (log.enabled()) {
     // The run's lock contention goes into the log as sync.mutex records.
-    obs::log_mutex_stats(&obs::EventLog::global());
-    obs::EventLog::global().close();
-    std::fprintf(stderr, "events: %s\n", events_path->c_str());
+    obs::log_mutex_stats(&log);
+    log.close();
+  }
+  if (events_path) std::fprintf(stderr, "events: %s\n", events_path->c_str());
+  // --verbose ends with the post-mortem `analyze` prints for this log,
+  // unless the command failed (exit 1) and has nothing to report.
+  if (verbose && code != 1) {
+    std::string error;
+    const auto text =
+        events_path ? read_file(*events_path, &error) : log.memory_contents();
+    if (!text) std::fprintf(stderr, "%s\n", error.c_str());
+    if (!text || !print_postmortem(*text, /*json=*/false)) code = 1;
   }
   return code;
 }

@@ -9,7 +9,13 @@
 # remap.end. analyze reads a log and writes none, so --log-events must be
 # rejected there as an unknown option (exit 2). The simplex has a single
 # configuration, so remap must reject a flag that picks a simplex variant
-# the same way, before it writes anything.
+# the same way, before it writes anything, and --progress is no flag at
+# all (the log is the only telemetry channel).
+#
+# remap --verbose must end with the post-mortem `analyze` prints for the
+# run's log (recorded in memory, or in the --log-events file verbatim)
+# and write the same floorplan as the traced remap. Its portfolio run
+# drains the racer threads' records before the fold, under TSan in CI.
 #
 # Bad option values must exit 1 before any work, writing nothing: seeds
 # that are not plain unsigned integers, gen parameters beyond the input-lint
@@ -49,6 +55,57 @@ file(READ "${WORK}/trace.json" trace)
 if(NOT trace MATCHES "\\{\"name\":\"remap\\.end\",[^{}]*\"ph\":\"X\"")
   message(FATAL_ERROR "${WORK}/trace.json has no 'X' span named remap.end")
 endif()
+
+# Fails unless `text` contains every later argument verbatim.
+function(expect_contains what text)
+  foreach(part ${ARGN})
+    string(FIND "${text}" "${part}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "${what} does not contain '${part}':\n${text}")
+    endif()
+  endforeach()
+endfunction()
+
+expect_exit(0 "${CLI}" remap --design "${WORK}/d.cgraf"
+            --floorplan "${WORK}/base.fp" --out "${WORK}/verbose.fp"
+            --verbose)
+expect_contains("remap --verbose" "${last_out}" "certified: yes"
+                "=== solve-event log post-mortem ===" "--- remap attempts (")
+execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                "${WORK}/aged.fp" "${WORK}/verbose.fp"
+                RESULT_VARIABLE differ)
+if(differ)
+  message(FATAL_ERROR "remap --verbose wrote a floorplan that differs from "
+                      "the traced remap's")
+endif()
+
+expect_exit(0 "${CLI}" remap --design "${WORK}/d.cgraf"
+            --floorplan "${WORK}/base.fp" --out "${WORK}/verbose.fp"
+            --verbose --log-events "${WORK}/verbose.jsonl")
+set(verbose_out "${last_out}")
+expect_exit(0 "${CLI}" analyze "${WORK}/verbose.jsonl")
+string(FIND "${verbose_out}" "${last_out}" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "remap --verbose --log-events does not print the "
+                      "text of `analyze` verbatim:\n${verbose_out}")
+endif()
+
+expect_exit(0 "${CLI}" remap --design "${WORK}/d.cgraf"
+            --floorplan "${WORK}/base.fp" --out "${WORK}/portfolio.fp"
+            --strategy portfolio --verbose)
+expect_contains("remap --strategy portfolio --verbose" "${last_out}"
+                "--- remap attempts (" "| portfolio races" "oracle calls"
+                "start repairs")
+
+foreach(cmd "gen;--spec;B13"
+            "remap;--design;${WORK}/d.cgraf;--floorplan;${WORK}/base.fp")
+  file(REMOVE "${WORK}/x.out")
+  expect_exit(2 "${CLI}" ${cmd} --out "${WORK}/x.out" --progress)
+  if(EXISTS "${WORK}/x.out")
+    message(FATAL_ERROR "${cmd} wrote ${WORK}/x.out despite rejecting "
+                        "--progress")
+  endif()
+endforeach()
 
 expect_exit(2 "${CLI}" analyze "${WORK}/events.jsonl"
             --log-events "${WORK}/x.jsonl")

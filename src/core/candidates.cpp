@@ -60,8 +60,7 @@ std::vector<std::vector<int>> compute_candidates(
         own += manhattan(fabric.loc(base.pe_of(op)), o.next);
       }
       // Moving only this op: new_own <= budget - (current - own).
-      o.allowance = (budget - (current - own)) * opts.slack_multiplier +
-                    opts.slack_additive;
+      o.allowance = (budget - (current - own)) * opts.slack_multiplier;
       occ[static_cast<std::size_t>(op)].push_back(o);
     }
   }

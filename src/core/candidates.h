@@ -19,13 +19,10 @@ namespace cgraf::core {
 
 struct CandidateOptions {
   // Loosens the per-path slack test: a candidate passes if its single-op
-  // wire contribution is within slack_multiplier x the path's allowance
-  // plus slack_additive wire units. Values > 1 / > 0 admit candidates that
-  // are only feasible jointly with neighbour moves (e.g. a rigid shift of
-  // a zero-slack path, where every op's distance to its *original*
-  // neighbours grows although the path's total wire length does not).
+  // wire contribution is within slack_multiplier x the path's allowance.
+  // Values > 1 admit candidates that are only feasible jointly with
+  // neighbour moves (the joint path constraints in the model stay exact).
   double slack_multiplier = 1.25;
-  double slack_additive = 0.0;
 };
 
 // candidates[op] = PEs the op may be bound to. Frozen ops get exactly their

@@ -14,12 +14,41 @@
 namespace cgraf::core {
 namespace {
 
-// Algorithm 1's fixed search parameters (see RemapOptions::max_outer_iters).
+// Algorithm 1's fixed search parameters: a 6-probe LP presearch picks the
+// Delta loop's start, Delta is 5% of ST_up - ST_low, the upward scan makes
+// at most 40 attempts per geometry, and up to 3 bisection attempts refine
+// the result.
 constexpr double kDeltaFrac = 0.05;
 constexpr int kPresearchProbes = 6;
+constexpr int kMaxAttempts = 40;
 constexpr int kRefineProbes = 3;
 
 }  // namespace
+
+PathSets derive_path_sets(const timing::CombGraph& graph,
+                          const Floorplan& baseline, const RemapOptions& opts) {
+  const Design& design = *graph.design;
+  PathSets sets;
+  sets.frozen.assign(static_cast<std::size_t>(design.num_ops()), 0);
+  sets.frozen_by_context.resize(static_cast<std::size_t>(design.num_contexts));
+  for (int c = 0; c < design.num_contexts; ++c) {
+    for (const timing::TimingPath& p : timing::critical_paths(
+             graph, baseline, c, opts.max_critical_paths_per_context)) {
+      for (const int op : p.ops) {
+        if (sets.frozen[static_cast<std::size_t>(op)]) continue;
+        sets.frozen[static_cast<std::size_t>(op)] = 1;
+        sets.frozen_by_context[static_cast<std::size_t>(c)].push_back(op);
+      }
+    }
+  }
+  // The paper monitors paths whose *initial* delay is within the margin of
+  // the CPD.
+  timing::PathQuery query;
+  query.margin = opts.path_margin;
+  query.max_paths = opts.max_monitored_paths;
+  sets.monitored = timing::monitored_paths(graph, baseline, query);
+  return sets;
+}
 
 RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
                               const RemapOptions& opts) {
@@ -65,58 +94,12 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
                                         opts.thermal);
   res.floorplan = baseline;
 
-  // Fault-recovery support: PEs that may not host operations.
-  std::vector<char> blocked(static_cast<std::size_t>(design.fabric.num_pes()),
-                            0);
-  for (const int pe : opts.blocked_pes) {
-    CGRAF_ASSERT(pe >= 0 && pe < design.fabric.num_pes());
-    blocked[static_cast<std::size_t>(pe)] = 1;
-  }
-  const bool fault_mode = !opts.blocked_pes.empty();
-
-  // --- Step 2.1a: critical paths per context; their union is frozen.
-  //
-  // Fault mode: a critical path with any op on a blocked PE cannot be
-  // frozen at all — pinning its healthy ops would trap the displaced one
-  // on a zero-slack path. The whole path becomes free; its monitored-path
-  // budget (wire length <= the original) lets it shift rigidly, and the
-  // final STA check still guarantees the CPD.
-  std::vector<std::vector<int>> frozen_by_context(
-      static_cast<std::size_t>(design.num_contexts));
-  std::vector<char> frozen(static_cast<std::size_t>(design.num_ops()), 0);
-  std::vector<char> tainted(static_cast<std::size_t>(design.num_ops()), 0);
-  std::vector<std::pair<int, timing::TimingPath>> cps_by_context;
-  for (int c = 0; c < design.num_contexts; ++c) {
-    for (auto& p : timing::critical_paths(graph, baseline, c,
-                                          opts.max_critical_paths_per_context)) {
-      bool touches_blocked = false;
-      for (const int op : p.ops)
-        touches_blocked |=
-            blocked[static_cast<std::size_t>(baseline.pe_of(op))] != 0;
-      if (touches_blocked) {
-        for (const int op : p.ops) tainted[static_cast<std::size_t>(op)] = 1;
-      }
-      cps_by_context.emplace_back(c, std::move(p));
-    }
-  }
-  for (const auto& [c, p] : cps_by_context) {
-    for (const int op : p.ops) {
-      if (tainted[static_cast<std::size_t>(op)]) continue;
-      if (!frozen[static_cast<std::size_t>(op)]) {
-        frozen[static_cast<std::size_t>(op)] = 1;
-        frozen_by_context[static_cast<std::size_t>(c)].push_back(op);
-      }
-    }
-  }
+  // --- Steps 2.1a and 2.2: the frozen critical-path ops and the monitored
+  // paths.
+  const PathSets paths = derive_path_sets(graph, baseline, opts);
+  const std::vector<char>& frozen = paths.frozen;
+  const std::vector<timing::TimingPath>& monitored = paths.monitored;
   for (const char f : frozen) res.num_frozen_ops += f;
-
-  // --- Step 2.2: monitored paths, from the original mapping (paper: paths
-  // whose *initial* delay is within the margin of the CPD).
-  timing::PathQuery query;
-  query.margin = opts.path_margin;
-  query.max_paths = opts.max_monitored_paths;
-  const std::vector<timing::TimingPath> monitored =
-      timing::monitored_paths(graph, baseline, query);
   res.num_monitored_paths = static_cast<int>(monitored.size());
 
   // Baseline returns still deserve a certificate: the unchanged floorplan
@@ -141,6 +124,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     res.probe_model_rebuilds += ps.model_rebuilds;
   };
   auto emit_end = [&] {
+    res.seconds = now_seconds() - t_start;
     obs::Event ev(events, "remap.end");
     if (ev.active()) {
       ev.arg("improved", res.improved)
@@ -152,6 +136,17 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
           .arg("certify_rejections", res.certify_rejections)
           .arg("seconds", res.seconds);
     }
+  };
+  // The one way to hand back the baseline: unchanged, certified against its
+  // own stress level, with st_target_final left at the last attempt.
+  auto keep_baseline = [&](const char* note) {
+    certify_baseline();
+    res.cpd_after_ns = res.cpd_before_ns;
+    res.st_max_after = res.st_max_before;
+    res.mttf_after = res.mttf_before;
+    res.mttf_gain = 1.0;
+    res.note = note;
+    emit_end();
   };
 
   // --- Step 1: delay-unaware stress-target lower bound.
@@ -174,43 +169,15 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       ropts.restarts = opts.rotation_restarts;
       ropts.seed = opts.seed + 0x100 * static_cast<std::uint64_t>(round + 1);
       const RotationResult rot = rotate_critical_paths(
-          design, baseline, frozen_by_context, ropts);
+          design, baseline, paths.frozen_by_context, ropts);
       CGRAF_ASSERT(rot.ok);
       base = rot.rotated_base;
-      if (fault_mode) {
-        // A rotation may land a frozen group on a blocked PE; fall back to
-        // the un-rotated geometry (whose frozen set avoids blocked PEs by
-        // construction).
-        for (const auto& group : frozen_by_context) {
-          for (const int op : group) {
-            if (blocked[static_cast<std::size_t>(base.pe_of(op))]) {
-              base = baseline;
-              break;
-            }
-          }
-        }
-      }
     }
 
-    // Candidates depend on positions and slack only, not on st_target. In
-    // fault mode unfrozen critical paths must be able to shift rigidly, so
-    // the single-move pruning gets extra additive headroom (the joint path
-    // constraints in the model remain exact).
-    CandidateOptions cand_opts = opts.candidates;
-    if (fault_mode)
-      cand_opts.slack_additive = std::max(cand_opts.slack_additive, 4.0);
-    auto filter_blocked = [&](std::vector<std::vector<int>>& cand_sets) {
-      if (!fault_mode) return;
-      for (int op = 0; op < design.num_ops(); ++op) {
-        if (frozen[static_cast<std::size_t>(op)]) continue;
-        std::erase_if(cand_sets[static_cast<std::size_t>(op)], [&](int pe) {
-          return blocked[static_cast<std::size_t>(pe)] != 0;
-        });
-      }
-    };
-    std::vector<std::vector<int>> candidates = compute_candidates(
-        design, base, frozen, monitored, res.cpd_before_ns, cand_opts);
-    filter_blocked(candidates);
+    // Candidates depend on positions and slack only, not on st_target.
+    std::vector<std::vector<int>> candidates =
+        compute_candidates(design, base, frozen, monitored,
+                           res.cpd_before_ns, opts.candidates);
 
     TwoStepOptions probe_opts = opts.solver;
     probe_opts.lp_only = true;
@@ -249,8 +216,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       // quantity that matters and keep the better plan.
       std::vector<std::vector<int>> id_cand =
           compute_candidates(design, baseline, frozen, monitored,
-                             res.cpd_before_ns, cand_opts);
-      filter_blocked(id_cand);
+                             res.cpd_before_ns, opts.candidates);
       const double id_target = presearch(baseline, id_cand);
       if (id_target < st_target - 1e-12) {
         base = baseline;
@@ -266,10 +232,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     const StrategyInfo& sinfo = strategy_info(opts.strategy);
     if (sinfo.exact && !sinfo.heuristic)
       solver_opts.strategy = sinfo.rounding;
-    // Unfrozen critical paths (fault mode) need coordinated rigid moves
-    // that the greedy dive cannot discover; let branch & bound finish
-    // the job when the dive dead-ends.
-    if (fault_mode) solver_opts.bnb_fallback = true;
     // One switch turns on both certification layers: the milp-level
     // solution check inside solve_two_step and the cgrra-level floorplan
     // check below.
@@ -394,18 +356,13 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
 
     // Scan upward: Delta steps, escalating geometrically toward the cap
     // after failures so a hard instance costs O(log) failed solves, not
-    // O(1/Delta). Without blocked PEs the baseline proves feasibility at
-    // ST_up; in fault mode the displaced ops may need more headroom, so
-    // the cap extends to the total stress (one PE carrying everything).
-    const double scan_cap =
-        fault_mode ? std::max(res.st_max_before,
-                              res.st_avg * design.fabric.num_pes())
-                   : res.st_max_before;
+    // O(1/Delta). The cap is ST_max, where the baseline itself is feasible.
+    const double scan_cap = res.st_max_before;
     Floorplan found;
     double found_cpd = 0.0;
     double found_at = -1.0;
     double last_fail = -1.0;
-    for (int iter = 0; iter < opts.max_outer_iters; ++iter) {
+    for (int iter = 0; iter < kMaxAttempts; ++iter) {
       if (attempt(st_target, found, found_cpd)) {
         found_at = st_target;
         break;
@@ -416,64 +373,41 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       st_target = std::min(st_target + step, scan_cap * (1.0 + 1e-9));
     }
 
-    if (found_at >= 0.0) {
-      // Bisect back toward the last failure to tighten the balance; a
-      // failed attempt leaves `found` untouched.
-      if (last_fail >= 0.0) {
-        found_at = bisect_st_target(
-            last_fail, found_at, kRefineProbes, delta,
-            [&](double target) { return attempt(target, found, found_cpd); });
-      }
-      fold_session(attempt_session.stats());
-
-      const StressMap stress1 = compute_stress(design, found);
-      const bool stress_improved =
-          stress1.max_accumulated() < res.st_max_before - 1e-12;
-      if (stress_improved || fault_mode) {
-        // Every kept candidate passed the per-attempt certificate above.
-        res.certified = opts.verify.enabled;
-        res.floorplan = std::move(found);
-        res.cpd_after_ns = found_cpd;
-        res.st_max_after = stress1.max_accumulated();
-        res.st_target_final = found_at;
-        res.improved = stress_improved;
-        res.note = "remapped at st_target=" + fmt_double(found_at, 4) +
-                   " after " + std::to_string(res.outer_iterations) +
-                   " iteration(s)";
-        if (fault_mode) {
-          res.note += " avoiding " +
-                      std::to_string(opts.blocked_pes.size()) +
-                      " blocked PE(s)";
-        }
-      } else {
-        res.note = "solution found but no stress improvement";
-        certify_baseline();
-      }
-      res.mttf_after =
-          aging::compute_mttf(design, res.floorplan, opts.nbti, opts.thermal);
-      if (!res.improved) {
-        res.cpd_after_ns = res.cpd_before_ns;
-        res.st_max_after = res.st_max_before;
-      }
-      res.mttf_gain =
-          res.mttf_after.mttf_seconds / res.mttf_before.mttf_seconds;
-      res.seconds = now_seconds() - t_start;
-      emit_end();
-      return res;
+    // Bisect back toward the last failure to tighten the balance; a failed
+    // attempt leaves `found` untouched.
+    if (found_at >= 0.0 && last_fail >= 0.0) {
+      found_at = bisect_st_target(
+          last_fail, found_at, kRefineProbes, delta,
+          [&](double target) { return attempt(target, found, found_cpd); });
     }
     fold_session(attempt_session.stats());
     // No feasible floorplan with this rotation: re-draw (Rotate) or give up.
+    if (found_at < 0.0) continue;
+
+    const StressMap stress1 = compute_stress(design, found);
+    const bool stress_improved =
+        stress1.max_accumulated() < res.st_max_before - 1e-12;
+    if (!stress_improved) {
+      keep_baseline("solution found but no stress improvement");
+      return res;
+    }
+    // Every kept candidate passed the per-attempt certificate above.
+    res.improved = true;
+    res.certified = opts.verify.enabled;
+    res.floorplan = std::move(found);
+    res.cpd_after_ns = found_cpd;
+    res.st_max_after = stress1.max_accumulated();
+    res.st_target_final = found_at;
+    res.note = "remapped at st_target=" + fmt_double(found_at, 4) + " after " +
+               std::to_string(res.outer_iterations) + " iteration(s)";
+    res.mttf_after =
+        aging::compute_mttf(design, res.floorplan, opts.nbti, opts.thermal);
+    res.mttf_gain = res.mttf_after.mttf_seconds / res.mttf_before.mttf_seconds;
+    emit_end();
+    return res;
   }
 
-  // No improving floorplan: return the baseline unchanged.
-  certify_baseline();
-  res.cpd_after_ns = res.cpd_before_ns;
-  res.st_max_after = res.st_max_before;
-  res.mttf_after = res.mttf_before;
-  res.mttf_gain = 1.0;
-  res.note = "no improving floorplan found; baseline kept";
-  res.seconds = now_seconds() - t_start;
-  emit_end();
+  keep_baseline("no improving floorplan found; baseline kept");
   return res;
 }
 

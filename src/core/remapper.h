@@ -25,9 +25,10 @@ enum class RemapMode {
 };
 
 // Solver defaults tuned for the re-mapping models: they are feasibility
-// problems, so branch & bound stops at the first incumbent, and a node/time
-// cap turns pathological instances into an "infeasible at this st_target"
-// answer that Algorithm 1's Delta relaxation absorbs.
+// problems, so branch & bound stops at the first incumbent, and node/time
+// caps end a pathological attempt with that limit's status. The attempt
+// proves nothing, but Algorithm 1's Delta relaxation treats it like any
+// other failed attempt and relaxes the target.
 inline TwoStepOptions default_remap_solver_options() {
   TwoStepOptions o;
   o.mip.stop_at_first_incumbent = true;
@@ -46,12 +47,6 @@ struct RemapOptions {
   // Per-context cap on extracted critical paths (the frozen set is their
   // union).
   int max_critical_paths_per_context = 8;
-
-  // Step 2.3's outer-iteration budget. The loop's fixed parameters are
-  // remapper.cpp constants: a 6-probe LP presearch picks its start
-  // (kPresearchProbes), Delta is 5% of ST_up - ST_low (kDeltaFrac), and up
-  // to 3 bisection attempts refine the result (kRefineProbes).
-  int max_outer_iters = 40;
 
   // Step 2.1 rotation controls.
   int rotation_restarts = 12;
@@ -81,14 +76,6 @@ struct RemapOptions {
   // stream mixes ls.seed with the outer iteration so Delta-loop retries
   // explore differently but reproducibly.
   LocalSearchOptions ls{};
-
-  // Fault recovery: PEs that must not host any operation (worn out or
-  // failed fabric cells). Ops currently bound there — critical or not —
-  // become free and are re-bound elsewhere; the CPD guarantee still holds
-  // (the attempt is rejected if no such floorplan exists). With a
-  // non-empty list, a floorplan that avoids the blocked PEs counts as
-  // success even if the stress balance does not improve.
-  std::vector<int> blocked_pes;
 
   aging::NbtiParams nbti{};
   thermal::ThermalParams thermal{};
@@ -141,5 +128,19 @@ struct RemapResult {
 
 RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
                               const RemapOptions& opts = {});
+
+// Steps 2.1a and 2.2 on the original mapping, read from `opts`: the frozen
+// ops are the union of each context's max_critical_paths_per_context
+// critical paths, and the monitored paths are those within path_margin of
+// the CPD, at most max_monitored_paths of them. The remapper and
+// cgraf_cli's lint and certify all derive them here.
+struct PathSets {
+  std::vector<char> frozen;  // per op
+  // Frozen ops per context, in extraction order: Rotate's groups.
+  std::vector<std::vector<int>> frozen_by_context;
+  std::vector<timing::TimingPath> monitored;
+};
+PathSets derive_path_sets(const timing::CombGraph& graph,
+                          const Floorplan& baseline, const RemapOptions& opts);
 
 }  // namespace cgraf::core

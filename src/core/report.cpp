@@ -123,7 +123,7 @@ std::string format_solver_stats(const TwoStepStats& stats) {
   table.add_row({"MIP status", milp::to_string(stats.mip_status)});
   table.add_row({"LP time", fmt_double(stats.lp_seconds, 4) + "s"});
   table.add_row({"MIP time", fmt_double(stats.mip_seconds, 4) + "s"});
-  table.add_row({"fallback (unfixed dive)",
+  table.add_row({"fallback (unfixed re-solve)",
                  stats.fallback_unfixed ? "yes" : "no"});
   table.add_row({"dual iterations", std::to_string(s.dual_iterations)});
   table.add_row({"bound flips", std::to_string(s.bound_flips)});

@@ -68,6 +68,13 @@ int randomized_fix(const RemapModel& rm, const std::vector<double>& lp_x,
   return fixed;
 }
 
+// A failed relaxation's status as the solve's verdict. The remap LP is
+// bounded, so "unbounded" can only be a numerical failure.
+milp::SolveStatus lp_failure_status(milp::SolveStatus s) {
+  return s == milp::SolveStatus::kUnbounded ? milp::SolveStatus::kNumericalError
+                                            : s;
+}
+
 // Runs branch & bound on `model` and folds its result into `res`.
 void run_bnb(const milp::Model& model, const RemapModel& rm,
              const TwoStepOptions& opts, TwoStepResult& res) {
@@ -89,10 +96,9 @@ void run_bnb(const milp::Model& model, const RemapModel& rm,
 }
 
 // The default strategy: iterated LP dive with warm-started re-solves and
-// ban-and-backtrack repair. Returns true if it produced a definitive answer
-// in `res` (a floorplan, or infeasibility/give-up at this st_target); false
-// when it dead-ended and the caller wants the B&B fallback.
-bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
+// ban-and-backtrack repair. Leaves a floorplan, a proof of infeasibility at
+// the root, or the limit it gave up on in `res`.
+void iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
                     TwoStepResult& res) {
   milp::Model relaxed = rm.model;
   for (int v = 0; v < relaxed.num_vars(); ++v) relaxed.relax_var(v);
@@ -131,14 +137,12 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
   while (true) {
     if (res.stats.dive_rounds >= max_rounds) {
       res.status = milp::SolveStatus::kIterLimit;
-      return !opts.bnb_fallback;
+      return;
     }
     if (opts.cancel != nullptr &&
         opts.cancel->load(std::memory_order_relaxed)) {
-      // Cancelled solves are definitive: the caller is tearing the race
-      // down, so the B&B fallback must not start a fresh search.
-      res.status = milp::SolveStatus::kCancelled;
-      return true;
+      res.status = milp::SolveStatus::kCancelled;  // the race is over
+      return;
     }
     lp = engine.solve(lb, ub, good_basis.empty() ? nullptr : &good_basis);
     if (res.stats.dive_rounds == 0)
@@ -152,13 +156,12 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
 
     if (lp.status != milp::SolveStatus::kOptimal) {
       if (history.empty()) {
-        if (bans == 0 && lp.status == milp::SolveStatus::kInfeasible) {
-          res.status = milp::SolveStatus::kInfeasible;  // proven at the root
-          return true;
-        }
-        // Bans over-constrained the root, or a solver limit fired.
-        res.status = milp::SolveStatus::kNodeLimit;
-        return !opts.bnb_fallback;
+        // The root LP's own verdict (a proof, or the limit it stopped on),
+        // unless bans over-constrained it, which proves nothing.
+        res.status = bans > 0 && lp.status == milp::SolveStatus::kInfeasible
+                         ? milp::SolveStatus::kNodeLimit
+                         : lp_failure_status(lp.status);
+        return;
       }
       // Undo the most recent round; ban its variable when it was a forced
       // single commit, tighten the threshold when a batch misfired.
@@ -182,7 +185,7 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
       }
       if (bans > kDiveBanBudget) {
         res.status = milp::SolveStatus::kNodeLimit;  // give up, unproven
-        return !opts.bnb_fallback;
+        return;
       }
       continue;
     }
@@ -239,7 +242,6 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
   res.status = milp::SolveStatus::kOptimal;
   res.floorplan = rm.decode(lp.x);
   certify_accept(rm, lp.x, opts, /*relaxed=*/false, res);
-  return true;
 }
 
 }  // namespace
@@ -289,13 +291,7 @@ TwoStepResult solve_two_step(const RemapModel& rm,
 
   // --- Default: iterated LP dive.
   if (opts.strategy == RoundingStrategy::kIterativeDive && !opts.lp_only) {
-    if (iterative_dive(rm, opts, res)) {
-      finish();
-      return res;
-    }
-    // Dive dead-ended: fall back to branch & bound on the unfixed model.
-    res.stats.fallback_unfixed = true;
-    run_bnb(rm.model, rm, opts, res);
+    iterative_dive(rm, opts, res);
     finish();
     return res;
   }
@@ -317,9 +313,7 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   res.stats.lp_stage.add(lp.stats);
   res.basis = lp.basis;
   if (lp.status != milp::SolveStatus::kOptimal) {
-    res.status = lp.status == milp::SolveStatus::kUnbounded
-                     ? milp::SolveStatus::kNumericalError
-                     : lp.status;
+    res.status = lp_failure_status(lp.status);
     finish();
     return res;
   }

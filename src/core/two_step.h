@@ -22,8 +22,9 @@ enum class RoundingStrategy {
   // Iterated LP dive (default): repeat { solve LP; fix every assignment
   // with value > threshold; if none qualify, fix the single most-integral
   // op } with warm-started re-solves until every op is committed. This is
-  // the paper's pre-mapping applied to a fixed point; when a dive dead-ends
-  // it falls back to branch & bound on the unfixed model.
+  // the paper's pre-mapping applied to a fixed point. A fix that breaks LP
+  // feasibility is undone and banned; when the bans run out the dive gives
+  // up on this st_target (kNodeLimit) and never runs branch & bound.
   kIterativeDive,
   kThresholdFixOnce,  // the paper's literal method: one fix pass, then ILP
   kRandomizedRound,   // ablation: sample candidate ~ LP weights, then ILP
@@ -32,9 +33,6 @@ enum class RoundingStrategy {
 
 struct TwoStepOptions {
   RoundingStrategy strategy = RoundingStrategy::kIterativeDive;
-  // Re-solve dead-ended dives with full branch & bound (expensive; the
-  // Delta relaxation of Algorithm 1 usually recovers more cheaply).
-  bool bnb_fallback = false;
   // Check feasibility with the LP relaxation only (no integer solve); used
   // by the remapper's LP presearch, where only a lower bound is needed.
   bool lp_only = false;
@@ -77,7 +75,9 @@ struct TwoStepStats {
   double mip_seconds = 0.0;
   milp::SolveStatus lp_status = milp::SolveStatus::kNumericalError;
   milp::SolveStatus mip_status = milp::SolveStatus::kNumericalError;
-  bool fallback_unfixed = false;  // dive/fixing dead-ended; B&B re-solve
+  // The one-pass fix (threshold or randomized) left an infeasible residual
+  // ILP, so branch & bound re-solved the unfixed model.
+  bool fallback_unfixed = false;
   int mip_threads = 1;            // worker threads of the last B&B run
   std::vector<long> mip_nodes_per_thread;
   milp::LpStageStats lp_stage;    // aggregated over every LP solved
@@ -88,7 +88,10 @@ struct TwoStepStats {
 
 struct TwoStepResult {
   // kOptimal: integer floorplan found (or LP feasible when lp_only).
-  // kInfeasible: no floorplan exists at this st_target (or limits hit).
+  // kInfeasible: proven, no floorplan exists at this st_target.
+  // A limit reports its own status and proves nothing: the LP's iteration
+  // or time limit, a cancel, B&B's node cap, or kNodeLimit when the dive
+  // spends its ban budget or its bans over-constrain the root.
   milp::SolveStatus status = milp::SolveStatus::kNumericalError;
   Floorplan floorplan;  // empty when lp_only or infeasible
   TwoStepStats stats;

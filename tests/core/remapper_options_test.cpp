@@ -21,15 +21,29 @@ workloads::GeneratedBenchmark bench_for(std::uint64_t seed) {
   return workloads::generate_benchmark(spec);
 }
 
-TEST(RemapperOptions, ZeroOuterItersReturnsBaseline) {
-  const auto bench = bench_for(1);
+// remap_e2e's ls_fleet instance B25 variant 2 under Rotate: every attempt
+// fails, so the remap ends on the baseline, which still gets a certificate.
+TEST(RemapperOptions, NoImprovingFloorplanKeepsCertifiedBaseline) {
+  workloads::BenchmarkSpec spec;
+  for (const workloads::BenchmarkSpec& s : workloads::table1_specs())
+    if (s.name == "B25") spec = s;
+  ASSERT_EQ(spec.name, "B25");
+  spec.seed = 0x83676b41e6cf0a62ULL;
+  const auto bench = workloads::generate_benchmark(spec);
   RemapOptions opts;
-  opts.max_outer_iters = 0;
-  opts.rotation_retries = 0;
+  opts.mode = RemapMode::kRotate;
+  opts.strategy = SolveStrategy::kLocalSearch;
+  opts.seed = spec.seed;
+  opts.ls.seed = spec.seed;
+  opts.verify.enabled = true;
   const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
   EXPECT_FALSE(r.improved);
+  EXPECT_GT(r.outer_iterations, 0);
   EXPECT_EQ(r.floorplan.op_to_pe, bench.baseline.op_to_pe);
   EXPECT_DOUBLE_EQ(r.mttf_gain, 1.0);
+  EXPECT_TRUE(r.certified);
+  EXPECT_EQ(r.cpd_after_ns, r.cpd_before_ns);
+  EXPECT_EQ(r.st_max_after, r.st_max_before);
 }
 
 TEST(RemapperOptions, NullObjectiveStillWorks) {

@@ -117,6 +117,27 @@ TEST(TwoStep, DiveStatsArepopulated) {
   EXPECT_EQ(r.stats.vars_fixed, 8);  // every op committed exactly once
 }
 
+// A root LP that stops on a solver limit proves nothing either way: the
+// dive reports that limit, as the one-shot fix does, instead of a node
+// limit it never reached.
+TEST(TwoStep, DiveRootLpLimitKeepsItsStatus) {
+  Fixture f(8, 4);
+  const RemapModel rm = f.model(kDmuStress + 1e-6);
+  for (const RoundingStrategy strategy :
+       {RoundingStrategy::kIterativeDive,
+        RoundingStrategy::kThresholdFixOnce}) {
+    TwoStepOptions opts;
+    opts.strategy = strategy;
+    opts.lp.max_iters = 1;
+    const TwoStepResult r = solve_two_step(rm, opts);
+    EXPECT_EQ(r.stats.lp_status, milp::SolveStatus::kIterLimit);
+    EXPECT_EQ(r.status, milp::SolveStatus::kIterLimit)
+        << "strategy " << static_cast<int>(strategy) << ": "
+        << milp::to_string(r.status);
+    EXPECT_TRUE(r.floorplan.op_to_pe.empty());
+  }
+}
+
 TEST(TwoStep, MinPerturbationKeepsFeasibleIdentity) {
   Fixture f(4, 4);
   // Loose target: identity is feasible and perturbation-minimal.

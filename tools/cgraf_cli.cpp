@@ -503,30 +503,6 @@ int cmd_report(const Args& args) {
   return 0;
 }
 
-// Shared front half of lint/certify: derive the frozen set (union of
-// critical paths per context) and the monitored paths from a reference
-// floorplan, exactly as the remapper's Freeze mode does.
-struct PipelineView {
-  timing::StaResult sta;
-  std::vector<char> frozen;
-  std::vector<timing::TimingPath> monitored;
-};
-
-PipelineView derive_pipeline_view(const Design& design, const Floorplan& ref,
-                                  double margin) {
-  const timing::CombGraph graph(design);
-  PipelineView view;
-  view.sta = run_sta(graph, ref);
-  view.frozen.assign(static_cast<std::size_t>(design.num_ops()), 0);
-  for (int c = 0; c < design.num_contexts; ++c)
-    for (const auto& p : timing::critical_paths(graph, ref, c, 8))
-      for (const int op : p.ops) view.frozen[static_cast<std::size_t>(op)] = 1;
-  timing::PathQuery query;
-  query.margin = margin;
-  view.monitored = timing::monitored_paths(graph, ref, query);
-  return view;
-}
-
 // `lint --inputs`: the DL data-model rules over the raw artifacts. Loads
 // bypass the acceptance wiring on purpose — the whole point is to *report*
 // on dirty inputs, so only outright parse failures stop the run. The stress
@@ -602,20 +578,24 @@ int cmd_lint(const Args& args) {
     std::fprintf(stderr, "floorplan invalid: %s\n", why.c_str());
     return 1;
   }
-  const PipelineView view = derive_pipeline_view(*design, *fp, margin);
+  // The frozen set and monitored paths as the remapper derives them.
+  core::RemapOptions path_opts;
+  path_opts.path_margin = margin;
+  const timing::CombGraph graph(*design);
+  const double cpd_ns = run_sta(graph, *fp).cpd_ns;
+  const core::PathSets paths = core::derive_path_sets(graph, *fp, path_opts);
   const StressMap stress = compute_stress(*design, *fp);
   const double st_target = st_flag.value_or(stress.max_accumulated());
 
   core::RemapModelSpec spec;
   spec.design = &*design;
   spec.base = &*fp;
-  spec.frozen = view.frozen;
-  spec.candidates = core::compute_candidates(*design, *fp, view.frozen,
-                                             view.monitored, view.sta.cpd_ns,
-                                             {});
+  spec.frozen = paths.frozen;
+  spec.candidates = core::compute_candidates(*design, *fp, paths.frozen,
+                                             paths.monitored, cpd_ns, {});
   spec.st_target = st_target;
-  spec.monitored = &view.monitored;
-  spec.cpd_ns = view.sta.cpd_ns;
+  spec.monitored = &paths.monitored;
+  spec.cpd_ns = cpd_ns;
   const core::RemapModel rm = core::build_remap_model(spec);
   if (rm.trivially_infeasible) {
     std::fprintf(stderr, "model is trivially infeasible before lint: %s\n",
@@ -675,7 +655,12 @@ int cmd_certify(const Args& args) {
     std::fprintf(stderr, "baseline floorplan invalid: %s\n", why.c_str());
     return 1;
   }
-  const PipelineView view = derive_pipeline_view(*design, *baseline, margin);
+  core::RemapOptions path_opts;
+  path_opts.path_margin = margin;
+  const timing::CombGraph graph(*design);
+  const double cpd_ns = run_sta(graph, *baseline).cpd_ns;
+  const core::PathSets paths =
+      core::derive_path_sets(graph, *baseline, path_opts);
   const StressMap base_stress = compute_stress(*design, *baseline);
   // Default bound: the pipeline's contract that the balance never regresses.
   const double st_target = st_flag.value_or(base_stress.max_accumulated());
@@ -687,20 +672,20 @@ int cmd_certify(const Args& args) {
   // CPD check below covers both modes.
   if (mode == "freeze") {
     spec.reference = &*baseline;
-    spec.frozen = view.frozen;
+    spec.frozen = paths.frozen;
   }
   spec.st_target = st_target;
-  spec.monitored = &view.monitored;
-  spec.cpd_ns = view.sta.cpd_ns;
+  spec.monitored = &paths.monitored;
+  spec.cpd_ns = cpd_ns;
   verify::CertifyOptions copts;
   verify::Certificate cert = verify::certify_floorplan(spec, *fp, copts);
   // The paper's headline guarantee, checked with a full independent STA:
   // no delay degradation relative to the baseline.
   const auto sta_after = timing::run_sta(*design, *fp);
-  if (sta_after.cpd_ns > view.sta.cpd_ns + copts.tol_delay_ns) {
+  if (sta_after.cpd_ns > cpd_ns + copts.tol_delay_ns) {
     cert.fail(copts, "cpd",
               "CPD " + std::to_string(sta_after.cpd_ns) + " ns exceeds the "
-              "baseline's " + std::to_string(view.sta.cpd_ns) + " ns");
+              "baseline's " + std::to_string(cpd_ns) + " ns");
   }
 
   if (args.has("json")) {
@@ -712,10 +697,10 @@ int cmd_certify(const Args& args) {
     std::printf("%s: st_target=%.4f cpd=%.3f->%.3f ns frozen_ops=%d "
                 "monitored_paths=%zu\n",
                 cert.ok ? "CERTIFIED" : "REJECTED", st_target,
-                view.sta.cpd_ns, sta_after.cpd_ns,
+                cpd_ns, sta_after.cpd_ns,
                 static_cast<int>(std::count(spec.frozen.begin(),
                                             spec.frozen.end(), 1)),
-                view.monitored.size());
+                paths.monitored.size());
   }
   return cert.ok ? 0 : 1;
 }

@@ -116,7 +116,7 @@ void run_gap_case(const workloads::BenchmarkSpec& bspec) {
   std::printf("CGRAF_BENCH_JSON %s\n", w.str().c_str());
 }
 
-// The seeding instance of tests/core/portfolio_test.cpp: 16 mux/add ops
+// The seeding instance of tests/core/solver_hooks_test.cpp: 16 mux/add ops
 // packed pairwise onto a 3x3 fabric, min-perturbation objective, absolute
 // gap 2 displacement units.
 void run_seeding_case() {

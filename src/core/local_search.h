@@ -36,8 +36,9 @@ struct LocalSearchOptions {
   // Total descent starts: 1 from the base binding + (restarts-1) kicked.
   int restarts = 4;
   double time_limit_s = 1e18;
-  // Cooperative cancellation (the portfolio race raises it); checked every
-  // few iterations. Not owned — must outlive the search.
+  // Cooperative cancellation, checked every few iterations; a raised flag
+  // ends the search with the best incumbent so far. Not owned — must
+  // outlive the search.
   const std::atomic<bool>* cancel = nullptr;
   // Structured solve-event log; one "ls.search" summary record per call.
   obs::EventLog* events = nullptr;

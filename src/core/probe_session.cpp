@@ -49,11 +49,6 @@ bool ProbeSession::ensure_model(double target) {
   return true;
 }
 
-const RemapModel* ProbeSession::model_at(double target) {
-  if (!ensure_model(target)) return nullptr;
-  return &rm_;
-}
-
 TwoStepResult ProbeSession::solve_lp_probe() {
   TwoStepResult res;
   res.stats.vars_total = rm_.num_binary_vars;

@@ -13,7 +13,6 @@
 // differential tests and the `--warm-probes=off` escape hatch rely on.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -55,24 +54,6 @@ class ProbeSession {
   const ProbeSessionStats& stats() const { return stats_; }
   // The session's model as of the last solve (valid once solve() ran).
   const RemapModel& model() const { return rm_; }
-
-  // Brings the session's model to `target` without solving and returns it
-  // (nullptr when the target is trivially infeasible). The portfolio uses
-  // this to encode a heuristic incumbent against the exact model before
-  // racing it.
-  const RemapModel* model_at(double target);
-
-  // Seed the next solve()'s branch & bound with a known-feasible solution
-  // vector (see MipOptions::initial_incumbent; same not-owned lifetime
-  // rules). Null clears the seed. No effect on lp_only sessions.
-  void set_initial_incumbent(const std::vector<double>* seed) {
-    solver_.mip.initial_incumbent = seed;
-  }
-  // Cooperative cancellation for every solve this session runs (the
-  // portfolio race's kill switch). Null clears it.
-  void set_cancel(const std::atomic<bool>* cancel) {
-    solver_.cancel = cancel;
-  }
 
  private:
   // Brings rm_ (and the persistent engine's row bounds) to `target`.

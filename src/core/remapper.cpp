@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cgrra/stress.h"
-#include "core/portfolio.h"
 #include "core/probe_session.h"
 #include "obs/event_log.h"
 #include "util/ascii.h"
@@ -226,12 +225,10 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     }
 
     TwoStepOptions solver_opts = opts.solver;
-    // Exact strategies drive the rounding mode from the strategy table
-    // (--strategy beats any ad-hoc solver.strategy setting); the portfolio
-    // keeps the configured rounding for its exact side.
+    // The strategy table drives the rounding mode of the exact side
+    // (--strategy beats any ad-hoc solver.strategy setting).
     const StrategyInfo& sinfo = strategy_info(opts.strategy);
-    if (sinfo.exact && !sinfo.heuristic)
-      solver_opts.strategy = sinfo.rounding;
+    solver_opts.strategy = sinfo.rounding;
     // One switch turns on both certification layers: the milp-level
     // solution check inside solve_two_step and the cgrra-level floorplan
     // check below.
@@ -247,8 +244,8 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     attempt_spec.monitored = &monitored;
     attempt_spec.cpd_ns = res.cpd_before_ns;
     attempt_spec.objective = opts.objective;
-    // The heuristic strategies need the same spec (st_target patched per
-    // attempt) after attempt_spec is moved into the session.
+    // The local search needs the same spec (st_target patched per attempt)
+    // after attempt_spec is moved into the session.
     RemapModelSpec heur_spec = attempt_spec;
     ProbeSession attempt_session(std::move(attempt_spec), solver_opts,
                                  opts.warm_probes);
@@ -261,9 +258,11 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       res.st_target_final = target;
       const double t_iter = now_seconds();
 
-      // Strategy dispatch: exact MILP, local search, or the race of both.
-      // Each branch fills the same verdict slots so the STA re-check and
-      // reporting below stay strategy-agnostic.
+      // Strategy dispatch from the table row: the local search runs first
+      // when the row has it, the exact solve only when the row has it and
+      // no certified LS floorplan came back (the portfolio runs both, in
+      // that order). Both fill the same verdict slots so the STA re-check
+      // and reporting below stay strategy-agnostic.
       bool solved_ok = false;
       // Heuristic results already carry a green certify_floorplan
       // certificate from the in-search oracle (same spec as the gate
@@ -280,29 +279,16 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
                       static_cast<std::uint64_t>(res.outer_iterations));
       if (ls_opts.events == nullptr) ls_opts.events = events;
 
-      if (opts.strategy == SolveStrategy::kLocalSearch) {
+      if (sinfo.heuristic) {
         heur_spec.st_target = target;
-        const LocalSearchResult lsr = local_search_remap(heur_spec, ls_opts);
+        LocalSearchResult lsr = local_search_remap(heur_spec, ls_opts);
         solved_ok = lsr.feasible;
         oracle_certified = lsr.certified;
-        if (solved_ok) solved_fp = lsr.floorplan;
+        if (solved_ok) solved_fp = std::move(lsr.floorplan);
         status_str = solved_ok ? "feasible" : "infeasible";
-      } else if (opts.strategy == SolveStrategy::kPortfolio) {
-        PortfolioOptions popts;
-        popts.ls = ls_opts;
-        const PortfolioResult pr =
-            race_portfolio(attempt_session, heur_spec, target, popts);
-        if (pr.winner == PortfolioWinner::kExact) {
-          solved_ok = true;
-          solved_fp = pr.exact.floorplan;
-          vars = attempt_session.model().num_binary_vars;
-        } else if (pr.winner == PortfolioWinner::kLocalSearch) {
-          solved_ok = true;
-          oracle_certified = true;
-          solved_fp = pr.ls.floorplan;
-        }
-        status_str = std::string("portfolio_") + to_string(pr.winner);
-      } else {
+      }
+      const bool ls_feasible = solved_ok;
+      if (sinfo.exact && !ls_feasible) {
         const TwoStepResult solved = attempt_session.solve(target);
         vars = attempt_session.model().num_binary_vars;
         status_str = milp::to_string(solved.status);
@@ -310,6 +296,16 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
           solved_ok = true;
           solved_fp = solved.floorplan;
         }
+      }
+      if (sinfo.exact && sinfo.heuristic) {
+        const char* winner = ls_feasible ? "ls" : solved_ok ? "exact" : "none";
+        obs::Event pev(ls_opts.events, "portfolio.result");
+        pev.arg("winner", winner)
+            .arg("st_target", target)
+            .arg("ls_feasible", ls_feasible);
+        if (!ls_feasible) pev.arg("exact_status", status_str);
+        pev.arg("seconds", now_seconds() - t_iter);
+        status_str = std::string("portfolio_") + winner;
       }
 
       bool cpd_ok = false;

@@ -69,8 +69,9 @@ struct RemapOptions {
 
   // How each Delta-loop attempt is solved (core/strategy.h): the exact
   // MILP pipeline (dive / fix-once / ilp rounding), the shift/swap local
-  // search alone, or the first-finisher-wins portfolio of both. Exact
-  // strategies override solver.strategy from the table.
+  // search alone, or the portfolio: the local search first, the MILP
+  // pipeline only when it fails. The table's rounding mode overrides
+  // solver.strategy.
   SolveStrategy strategy = SolveStrategy::kExactDive;
   // Local-search knobs for kLocalSearch and kPortfolio. The per-attempt
   // stream mixes ls.seed with the outer iteration so Delta-loop retries

@@ -19,7 +19,7 @@ const std::vector<StrategyInfo>& strategy_table() {
        "shift/swap local search, certifier-checked"},
       {SolveStrategy::kPortfolio, "portfolio", "", true, true,
        RoundingStrategy::kIterativeDive,
-       "exact vs local search race, first finisher wins"},
+       "local search, then the exact dive where it fails"},
   };
   return kTable;
 }

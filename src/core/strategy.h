@@ -21,8 +21,8 @@ enum class SolveStrategy {
   // Shift/swap local search (core/local_search.h): heuristic, certifier-
   // checked, no solver code involved.
   kLocalSearch,
-  // First-finisher-wins race of the exact pipeline against the local
-  // search, with an LS sprint seeding the B&B cutoff (core/portfolio.h).
+  // The local search first, then the exact dive pipeline on attempts where
+  // the local search found no certified floorplan.
   kPortfolio,
 };
 
@@ -30,10 +30,12 @@ struct StrategyInfo {
   SolveStrategy strategy;
   const char* name;     // canonical CLI value
   const char* alias;    // secondary CLI spelling ("" when none)
+  // The remapper's attempt dispatch reads these two flags: a heuristic row
+  // runs the local search, an exact row the MILP pipeline, and a row with
+  // both runs the MILP pipeline only when the local search failed.
   bool exact;           // runs the MILP pipeline
   bool heuristic;       // runs the local-search engine
-  // Two-step rounding mode driven by this strategy (meaningful when exact;
-  // kLocalSearch carries the default for the portfolio's exact side).
+  // Two-step rounding mode of the MILP pipeline (unused when !exact).
   RoundingStrategy rounding;
   const char* summary;  // one-liner for usage/help text
 };

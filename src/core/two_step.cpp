@@ -141,7 +141,7 @@ void iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
     }
     if (opts.cancel != nullptr &&
         opts.cancel->load(std::memory_order_relaxed)) {
-      res.status = milp::SolveStatus::kCancelled;  // the race is over
+      res.status = milp::SolveStatus::kCancelled;
       return;
     }
     lp = engine.solve(lb, ub, good_basis.empty() ? nullptr : &good_basis);

@@ -59,8 +59,7 @@ struct TwoStepOptions {
   obs::EventLog* events = nullptr;
   // Cooperative cancellation, copied the same way into lp.cancel and
   // mip.cancel and checked between dive rounds. A cancelled solve reports
-  // SolveStatus::kCancelled (the portfolio race raises it to stop the
-  // losing side).
+  // SolveStatus::kCancelled.
   const std::atomic<bool>* cancel = nullptr;
 };
 

@@ -35,7 +35,7 @@ enum class SolveStatus {
   kTimeLimit,   // time limit without a feasible point
   kNodeLimit,   // node limit without a feasible point (MIP)
   kNumericalError,
-  kCancelled,   // external cancel flag raised (portfolio race loser)
+  kCancelled,   // the caller raised the options' cancel flag
 };
 
 const char* to_string(SolveStatus s);
@@ -52,8 +52,8 @@ struct LpOptions {
   obs::EventLog* events = nullptr;
   // Cooperative cancellation: when non-null and set, the iteration loops
   // stop at the next limit check and the solve returns kCancelled. The
-  // pointed-to flag must outlive every solve that sees it (the portfolio
-  // race owns one per attempt and raises it to stop the losing side).
+  // pointed-to flag must outlive every solve that sees it; a caller may
+  // raise it from another thread to stop a solve early.
   const std::atomic<bool>* cancel = nullptr;
 };
 

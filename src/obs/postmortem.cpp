@@ -196,7 +196,6 @@ void fold_record(const JsonValue& rec, PostmortemReport& r, Samples& s) {
     const std::string winner = rec.str_or("winner", "");
     if (winner == "exact") ++r.portfolio_exact_wins;
     if (winner == "ls") ++r.portfolio_ls_wins;
-    if (rec.bool_or("seeded", false)) ++r.portfolio_seeded;
     return;
   }
   if (type == "sync.mutex") {
@@ -448,8 +447,7 @@ std::string PostmortemReport::to_text() const {
       t.add_row({"portfolio races",
                  fmt_long(portfolio_races) + " (" +
                      fmt_long(portfolio_exact_wins) + " exact, " +
-                     fmt_long(portfolio_ls_wins) + " ls, " +
-                     fmt_long(portfolio_seeded) + " seeded)"});
+                     fmt_long(portfolio_ls_wins) + " ls)"});
     }
     out += t.render();
     out += "\n";
@@ -597,7 +595,6 @@ std::string PostmortemReport::to_json() const {
   w.field("portfolio_races", portfolio_races);
   w.field("portfolio_exact_wins", portfolio_exact_wins);
   w.field("portfolio_ls_wins", portfolio_ls_wins);
-  w.field("portfolio_seeded", portfolio_seeded);
   w.field("solution_rejections", solution_rejections);
   w.field("floorplan_rejections", floorplan_rejections);
   w.end_object();

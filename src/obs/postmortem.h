@@ -131,7 +131,6 @@ struct PostmortemReport {
   long portfolio_races = 0;       // portfolio.result records
   long portfolio_exact_wins = 0;
   long portfolio_ls_wins = 0;
-  long portfolio_seeded = 0;
 
   // --- certificate gates ---------------------------------------------------
   // Solver solutions rejected by certify_solution: twostep.solve and

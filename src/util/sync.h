@@ -84,12 +84,6 @@ namespace lock_rank {
 // coordination). Lowest rank: workers publish results into the obs layer
 // (rank >= 45) while holding it during result assembly.
 inline constexpr int kBnbShared = 10;
-// core: portfolio race coordination (winner slot + finish signaling).
-// Racer threads never hold it while running a solver, and the coordinator
-// never acquires solver locks, so it slots independently between the B&B
-// shared state and the obs layer (the publish path emits obs events only
-// after unlocking).
-inline constexpr int kPortfolio = 15;
 // obs: event-log buffer registry (the list of per-thread buffers).
 inline constexpr int kObsEventLog = 45;
 // obs: one per-thread event buffer. Acquired after the registry on the

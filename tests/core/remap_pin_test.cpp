@@ -10,9 +10,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "core/remapper.h"
+#include "obs/event_log.h"
+#include "obs/json_reader.h"
 #include "workloads/suite.h"
 
 namespace cgraf::core {
@@ -45,11 +48,11 @@ workloads::BenchmarkSpec table1_spec(const std::string& name) {
   return {};
 }
 
+// `o` carries any other option a case needs; the pinned ones are set here.
 RemapResult run(const workloads::BenchmarkSpec& spec, RemapMode mode,
-                SolveStrategy strategy) {
+                SolveStrategy strategy, RemapOptions o = {}) {
   const workloads::GeneratedBenchmark bench =
       workloads::generate_benchmark(spec);
-  RemapOptions o;
   o.mode = mode;
   o.strategy = strategy;
   o.solver.mip.num_threads = 1;
@@ -116,6 +119,48 @@ TEST(RemapPins, LocalSearchB25Variant2RotateKeepsBaseline) {
   expect_pinned(run(spec, RemapMode::kRotate, SolveStrategy::kLocalSearch),
                 {0x400b5afb7f067d2dULL, 0x3ff0000000000000ULL,
                  0xaf34eea9144087caULL, 20});
+}
+
+// The portfolio runs the local search first and the dive only on attempts
+// the local search fails, so here it returns the LS pin. In one of its
+// attempts the local search fails and the dive runs to node-limit.
+TEST(RemapPins, PortfolioB13RotateMatchesLocalSearch) {
+  expect_pinned(run(table1_spec("B13"), RemapMode::kRotate,
+                    SolveStrategy::kPortfolio),
+                {0x3feb80f9c52e72daULL, 0x4001f5032660ad78ULL,
+                 0x800196964847df0bULL, 5});
+}
+
+// A local search that examines no move fails every attempt, so the
+// portfolio is the dive on the same probe session: DiveB19Freeze's pin,
+// with every portfolio.result naming the exact side or neither.
+TEST(RemapPins, PortfolioWithStarvedLsMatchesDiveB19Freeze) {
+  obs::EventLog log;
+  log.open_memory();
+  RemapOptions o;
+  o.solver.events = &log;
+  o.ls.max_iters = 0;
+  o.ls.restarts = 1;
+  const RemapResult r = run(table1_spec("B19"), RemapMode::kFreeze,
+                            SolveStrategy::kPortfolio, o);
+  log.close();
+  expect_pinned(r, {0x3fe56cf04ea4a8c2ULL, 0x3ffd79109b59276fULL,
+                    0x40d83cab60ee232dULL, 5});
+
+  int exact = 0, none = 0;
+  std::istringstream lines(log.memory_contents());
+  for (std::string line; std::getline(lines, line);) {
+    obs::JsonValue rec;
+    std::string error;
+    ASSERT_TRUE(obs::parse_json(line, &rec, &error)) << error;
+    if (rec.str_or("type", "") != "portfolio.result") continue;
+    const std::string winner = rec.str_or("winner", "");
+    EXPECT_TRUE(winner == "exact" || winner == "none") << line;
+    exact += winner == "exact";
+    none += winner == "none";
+  }
+  EXPECT_EQ(exact, 3);
+  EXPECT_EQ(none, 2);
 }
 
 }  // namespace

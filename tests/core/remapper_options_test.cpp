@@ -1,7 +1,10 @@
 // Behavioural coverage of the RemapOptions knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/remapper.h"
 #include "obs/event_log.h"
@@ -44,6 +47,57 @@ TEST(RemapperOptions, NoImprovingFloorplanKeepsCertifiedBaseline) {
   EXPECT_TRUE(r.certified);
   EXPECT_EQ(r.cpd_after_ns, r.cpd_before_ns);
   EXPECT_EQ(r.st_max_after, r.st_max_before);
+}
+
+// The portfolio runs the exact side only on attempts where the local
+// search found no floorplan. On B13 Rotate (RemapPins' options) the local
+// search wins four attempts and fails one, so both branches run.
+TEST(RemapperOptions, PortfolioRunsTheExactSideOnlyWhereLocalSearchFails) {
+  workloads::BenchmarkSpec spec;
+  for (const workloads::BenchmarkSpec& s : workloads::table1_specs())
+    if (s.name == "B13") spec = s;
+  ASSERT_EQ(spec.name, "B13");
+  const auto bench = workloads::generate_benchmark(spec);
+  obs::EventLog log;
+  log.open_memory();
+  RemapOptions opts;
+  opts.mode = RemapMode::kRotate;
+  opts.strategy = SolveStrategy::kPortfolio;
+  opts.solver.mip.num_threads = 1;
+  opts.seed = spec.seed;
+  opts.ls.seed = spec.seed;
+  opts.verify.enabled = true;
+  opts.solver.events = &log;
+  const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
+  log.close();
+
+  // One twostep.solve record per exact run (the presearch's LP-only probes
+  // leave none).
+  long ls_wins = 0, exact_runs = 0, two_step_solves = 0;
+  std::vector<std::string> statuses;
+  std::istringstream lines(log.memory_contents());
+  for (std::string line; std::getline(lines, line);) {
+    obs::JsonValue rec;
+    std::string error;
+    ASSERT_TRUE(obs::parse_json(line, &rec, &error)) << error;
+    const std::string type = rec.str_or("type", "");
+    if (type == "twostep.solve") ++two_step_solves;
+    if (type == "remap.attempt") statuses.push_back(rec.str_or("status", ""));
+    if (type != "portfolio.result") continue;
+    const std::string winner = rec.str_or("winner", "");
+    const bool ls_won = winner == "ls";
+    EXPECT_EQ(rec.bool_or("ls_feasible", !ls_won), ls_won) << line;
+    EXPECT_EQ(rec.find("exact_status") != nullptr, !ls_won) << line;
+    ls_wins += ls_won;
+    exact_runs += !ls_won;
+  }
+  EXPECT_EQ(ls_wins + exact_runs, r.outer_iterations);
+  EXPECT_EQ(ls_wins, 4);
+  EXPECT_EQ(exact_runs, 1);
+  EXPECT_EQ(two_step_solves, exact_runs);
+  ASSERT_EQ(statuses.size(), static_cast<std::size_t>(r.outer_iterations));
+  EXPECT_EQ(std::count(statuses.begin(), statuses.end(), "portfolio_ls"),
+            ls_wins);
 }
 
 TEST(RemapperOptions, NullObjectiveStillWorks) {

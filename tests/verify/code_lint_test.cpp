@@ -86,7 +86,7 @@ TEST(CodeLint, Cl002FindsRankInSiblingFile) {
       {{"src/core/widget.h",
         "struct W { int v CGRAF_GUARDED_BY(mu_) = 0; Mutex mu_; };\n"},
        {"src/core/widget.cpp",
-        "W::W() : mu_(\"w.mu\", lock_rank::kPortfolio) {}\n"}},
+        "W::W() : mu_(\"w.mu\", lock_rank::kBnbShared) {}\n"}},
       opts);
   EXPECT_EQ(count_rule(r, "CL002"), 0);
 }

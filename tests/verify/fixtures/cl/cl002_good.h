@@ -8,7 +8,7 @@ namespace cgraf {
 
 struct Widget {
   int value CGRAF_GUARDED_BY(mu_) = 0;
-  mutable Mutex mu_{"widget.mu", lock_rank::kPortfolio};
+  mutable Mutex mu_{"widget.mu", lock_rank::kBnbShared};
 };
 
 }  // namespace cgraf

@@ -373,7 +373,8 @@ int cmd_remap(const Args& args) {
   opts.verify.enabled = true;
   // Solve strategy, resolved through the one shared table
   // (core/strategy.h): exact rounding modes, the local-search heuristic,
-  // or the portfolio race. `--strategy ilp --threads N` forces every
+  // or the portfolio of both. `--threads N` reaches only the branch &
+  // bound of fix-once and ilp: `--strategy ilp --threads N` forces every
   // attempt through the parallel branch & bound, so the trace shows one
   // lane per worker.
   const std::string strategy = args.get_or("strategy", "dive");

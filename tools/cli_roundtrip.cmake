@@ -14,8 +14,10 @@
 #
 # remap --verbose must end with the post-mortem `analyze` prints for the
 # run's log (recorded in memory, or in the --log-events file verbatim)
-# and write the same floorplan as the traced remap. Its portfolio run
-# drains the racer threads' records before the fold, under TSan in CI.
+# and write the same floorplan as the traced remap. A fix-once run on two
+# branch & bound workers (the only threaded solver) drains the workers'
+# records before the fold, under TSan in CI, and its lock table must show
+# the workers' shared node-pool mutex.
 #
 # Bad option values must exit 1 before any work, writing nothing: seeds
 # that are not plain unsigned integers, gen parameters beyond the input-lint
@@ -96,6 +98,16 @@ expect_exit(0 "${CLI}" remap --design "${WORK}/d.cgraf"
 expect_contains("remap --strategy portfolio --verbose" "${last_out}"
                 "--- remap attempts (" "| portfolio races" "oracle calls"
                 "start repairs")
+
+expect_exit(0 "${CLI}" gen --spec B7 --out "${WORK}/b7.cgraf")
+expect_exit(0 "${CLI}" place --design "${WORK}/b7.cgraf"
+            --out "${WORK}/b7.fp")
+expect_exit(0 "${CLI}" remap --design "${WORK}/b7.cgraf"
+            --floorplan "${WORK}/b7.fp" --out "${WORK}/b7_aged.fp"
+            --strategy fix-once --threads 2 --verbose)
+expect_contains("remap --strategy fix-once --threads 2 --verbose"
+                "${last_out}" "certified: yes" "--- remap attempts ("
+                "bnb.shared")
 
 foreach(cmd "gen;--spec;B13"
             "remap;--design;${WORK}/d.cgraf;--floorplan;${WORK}/base.fp")

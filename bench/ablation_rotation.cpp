@@ -30,28 +30,15 @@ int main() {
 
     // Frozen groups and their overlap under identity vs planned rotation.
     const timing::CombGraph graph(bench.design);
-    std::vector<std::vector<int>> frozen_by_context(
-        static_cast<std::size_t>(bench.design.num_contexts));
-    std::vector<char> seen(static_cast<std::size_t>(bench.design.num_ops()),
-                           0);
+    const core::PathSets paths =
+        core::derive_path_sets(graph, bench.baseline, core::RemapOptions{});
     int frozen_total = 0;
-    for (int c = 0; c < bench.design.num_contexts; ++c) {
-      for (const auto& p :
-           timing::critical_paths(graph, bench.baseline, c, 8)) {
-        for (const int op : p.ops) {
-          if (!seen[static_cast<std::size_t>(op)]) {
-            seen[static_cast<std::size_t>(op)] = 1;
-            frozen_by_context[static_cast<std::size_t>(c)].push_back(op);
-            ++frozen_total;
-          }
-        }
-      }
-    }
+    for (const char f : paths.frozen) frozen_total += f;
     auto overlap_of = [&](const Floorplan& fp) {
       std::vector<double> pe(static_cast<std::size_t>(
                                  bench.design.fabric.num_pes()),
                              0.0);
-      for (const auto& group : frozen_by_context)
+      for (const auto& group : paths.frozen_by_context)
         for (const int op : group)
           pe[static_cast<std::size_t>(fp.pe_of(op))] += op_stress(
               bench.design.ops[static_cast<std::size_t>(op)],
@@ -62,9 +49,8 @@ int main() {
     };
     core::RotationOptions ropts;
     ropts.seed = spec.seed;
-    const auto rot =
-        rotate_critical_paths(bench.design, bench.baseline, frozen_by_context,
-                              ropts);
+    const auto rot = rotate_critical_paths(bench.design, bench.baseline,
+                                           paths.frozen_by_context, ropts);
 
     core::RemapOptions freeze;
     freeze.mode = core::RemapMode::kFreeze;

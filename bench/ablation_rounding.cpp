@@ -24,13 +24,10 @@ int main() {
   const timing::CombGraph graph(design);
   const timing::StaResult sta = run_sta(graph, bench.baseline);
 
-  std::vector<char> frozen(static_cast<std::size_t>(design.num_ops()), 0);
-  for (int c = 0; c < design.num_contexts; ++c)
-    for (const auto& p : timing::critical_paths(graph, bench.baseline, c, 8))
-      for (const int op : p.ops) frozen[static_cast<std::size_t>(op)] = 1;
-  const auto monitored = timing::monitored_paths(graph, bench.baseline);
+  const core::PathSets paths =
+      core::derive_path_sets(graph, bench.baseline, core::RemapOptions{});
   const auto candidates = core::compute_candidates(
-      design, bench.baseline, frozen, monitored, sta.cpd_ns);
+      design, bench.baseline, paths.frozen, paths.monitored, sta.cpd_ns);
   const core::StTargetResult st = core::find_st_target(design, bench.baseline);
   const double target = st.st_target + 0.30 * (st.st_up - st.st_target);
 
@@ -38,10 +35,10 @@ int main() {
     core::RemapModelSpec spec;
     spec.design = &design;
     spec.base = &bench.baseline;
-    spec.frozen = frozen;
+    spec.frozen = paths.frozen;
     spec.candidates = candidates;
     spec.st_target = target;
-    spec.monitored = &monitored;
+    spec.monitored = &paths.monitored;
     spec.cpd_ns = sta.cpd_ns;
     spec.objective = obj;
     return build_remap_model(spec);

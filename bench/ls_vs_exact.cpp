@@ -1,18 +1,11 @@
-// Heuristic-vs-exact bench: quality gap on a quick Table-I subset and the
-// incumbent-seeding effect on the branch & bound tree.
+// Heuristic-vs-exact bench: quality gap on a quick Table-I subset.
 //
-// Two row families on stdout (CGRAF_BENCH_JSON, scraped by cgraf_bench):
+// One row per benchmark on stdout (CGRAF_BENCH_JSON, scraped by cgraf_bench):
 //
 //   ls_gap_<B>:  both solvers walk the same descending stress-target ladder
 //                (the protocol of tests/core/ls_quality_gap_test.cpp, with
 //                bench-sized budgets); the row records each side's tightest
 //                feasible target, the relative gap and the LS work counters.
-//   ls_seeding:  one heterogeneous instance solved under an absolute gap
-//                with and without the certified LS floorplan as the opening
-//                incumbent; the row records both node counts. With a
-//                best-first pool the saving is the incumbent-hunting
-//                prefix, so nodes_seeded should stay well below
-//                nodes_unseeded (the quick baseline pins 1 vs 15).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -116,63 +109,6 @@ void run_gap_case(const workloads::BenchmarkSpec& bspec) {
   std::printf("CGRAF_BENCH_JSON %s\n", w.str().c_str());
 }
 
-// The seeding instance of tests/core/solver_hooks_test.cpp: 16 mux/add ops
-// packed pairwise onto a 3x3 fabric, min-perturbation objective, absolute
-// gap 2 displacement units.
-void run_seeding_case() {
-  const double t0 = now_seconds();
-  Design design{Fabric(3, 3), 2, {}, {}};
-  Floorplan base;
-  for (int i = 0; i < 16; ++i) {
-    Operation op;
-    op.id = i;
-    op.kind = (i % 4) < 2 ? OpKind::kMux : OpKind::kAdd;
-    op.context = i % 2;
-    design.ops.push_back(op);
-    base.op_to_pe.push_back(i / 2);
-  }
-  core::RemapModelSpec spec;
-  spec.design = &design;
-  spec.base = &base;
-  spec.frozen.assign(design.ops.size(), 0);
-  spec.candidates.assign(design.ops.size(), {});
-  for (auto& c : spec.candidates)
-    for (int pe = 0; pe < design.fabric.num_pes(); ++pe) c.push_back(pe);
-  spec.st_target = 3.14 / 5.0 + 0.87 / 5.0 + 1e-6;
-
-  const core::RemapModel rm = core::build_remap_model(spec);
-  milp::MipOptions mo;
-  mo.num_threads = 1;
-  mo.abs_gap = 2.0;
-  const milp::MipResult unseeded = solve_milp(rm.model, mo);
-
-  core::LocalSearchOptions ls_opts;
-  ls_opts.seed = 17;
-  ls_opts.max_iters = 6000;
-  ls_opts.restarts = 6;
-  const core::LocalSearchResult lsr = core::local_search_remap(spec, ls_opts);
-  const std::vector<double> seed =
-      lsr.feasible ? rm.encode(lsr.floorplan) : std::vector<double>{};
-  milp::MipOptions seeded_opts = mo;
-  if (!seed.empty()) seeded_opts.initial_incumbent = &seed;
-  const milp::MipResult seeded = solve_milp(rm.model, seeded_opts);
-
-  obs::JsonWriter w;
-  w.begin_object()
-      .field("case", "ls_seeding")
-      .field("ls_feasible", lsr.feasible)
-      .field("incumbent_seeded", seeded.incumbent_seeded)
-      .field("nodes_unseeded", unseeded.nodes)
-      .field("nodes_seeded", seeded.nodes)
-      .field("obj_unseeded", unseeded.obj)
-      .field("obj_seeded", seeded.obj)
-      .field("wall_seconds", now_seconds() - t0)
-      .field("threads", 1L);
-  append_meta_fields(w);
-  w.end_object();
-  std::printf("CGRAF_BENCH_JSON %s\n", w.str().c_str());
-}
-
 }  // namespace
 
 int main() {
@@ -184,6 +120,5 @@ int main() {
     if (++taken > 4) break;
     run_gap_case(spec);
   }
-  run_seeding_case();
   return 0;
 }

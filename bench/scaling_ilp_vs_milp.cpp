@@ -37,7 +37,7 @@ struct Row {
   core::TwoStepStats ilp_stats;
   core::TwoStepStats dive_stats;
   double dive_max_stress = 0.0;
-  bool dive_certified = false;  // the dive ran with the certifier on
+  bool dive_certified = false;  // the dive's solution passed the certifier
 };
 
 Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
@@ -48,14 +48,10 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
   const timing::StaResult sta = run_sta(graph, bench.baseline);
 
   // Shared Step-2 model pieces (Freeze mode, default margins).
-  std::vector<char> frozen(static_cast<std::size_t>(design.num_ops()), 0);
-  for (int c = 0; c < design.num_contexts; ++c) {
-    for (const auto& p : timing::critical_paths(graph, bench.baseline, c, 8))
-      for (const int op : p.ops) frozen[static_cast<std::size_t>(op)] = 1;
-  }
-  const auto monitored = timing::monitored_paths(graph, bench.baseline);
+  const core::PathSets paths =
+      core::derive_path_sets(graph, bench.baseline, core::RemapOptions{});
   const auto candidates = core::compute_candidates(
-      design, bench.baseline, frozen, monitored, sta.cpd_ns);
+      design, bench.baseline, paths.frozen, paths.monitored, sta.cpd_ns);
 
   // A mildly relaxed target so both solvers search a feasible region: the
   // midpoint of Step 1's bracket [ST_low, ST_up].
@@ -66,10 +62,10 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
   core::RemapModelSpec mspec;
   mspec.design = &design;
   mspec.base = &bench.baseline;
-  mspec.frozen = frozen;
+  mspec.frozen = paths.frozen;
   mspec.candidates = candidates;
   mspec.st_target = target;
-  mspec.monitored = &monitored;
+  mspec.monitored = &paths.monitored;
   mspec.cpd_ns = sta.cpd_ns;
   const core::RemapModel rm = build_remap_model(mspec);
 
@@ -102,7 +98,7 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
     row.dive_status = r.status;
     row.dive_seconds = r.stats.lp_seconds + r.stats.mip_seconds;
     row.dive_stats = r.stats;
-    row.dive_certified = true;
+    row.dive_certified = r.certified;
     if (!r.floorplan.op_to_pe.empty())
       row.dive_max_stress =
           compute_stress(design, r.floorplan).max_accumulated();

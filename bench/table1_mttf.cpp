@@ -7,6 +7,9 @@
 //   --paper-scale  use the paper's fabrics {4x4, 8x8, 16x16} (slow; see
 //                  DESIGN.md §5) instead of the default {4x4, 6x6, 8x8}.
 //   --max-dim N    skip benchmarks with fabric dimension > N.
+//
+// Exits 1, after printing both tables, when a remap returns a floorplan
+// that is not certified (RemapResult::certified).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,6 +44,7 @@ int main(int argc, char** argv) {
                           : "4x4/6x6/8x8 (default scale, DESIGN.md §5)");
 
   std::vector<cgraf::core::BenchmarkRun> runs;
+  bool all_certified = true;
   for (const auto& spec : cgraf::workloads::table1_specs(paper_scale)) {
     if (spec.fabric_dim > max_dim) continue;
     if (!band_filter.empty() &&
@@ -54,6 +58,13 @@ int main(int argc, char** argv) {
                 run.rotate.mttf_gain, run.freeze.seconds,
                 run.rotate.seconds);
     std::fflush(stdout);
+    for (const auto* r : {&run.freeze, &run.rotate}) {
+      if (r->certified) continue;
+      std::fprintf(stderr, "%s: %s remap is not certified (%s)\n",
+                   spec.name.c_str(), r == &run.freeze ? "freeze" : "rotate",
+                   r->note.c_str());
+      all_certified = false;
+    }
     runs.push_back(run);
   }
 
@@ -65,5 +76,5 @@ int main(int argc, char** argv) {
               " column,\nand rise from C4 rows to C16 rows within a fabric"
               " size.\n",
               cgraf::core::format_fig5(runs).c_str());
-  return 0;
+  return all_certified ? 0 : 1;
 }

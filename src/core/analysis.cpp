@@ -6,6 +6,7 @@
 #include "timing/sta.h"
 #include "util/ascii.h"
 #include "util/check.h"
+#include "util/geometry.h"
 
 namespace cgraf::core {
 
@@ -60,33 +61,6 @@ std::string format_diff(const FloorplanDiff& diff) {
   out += "max stress      : " + fmt_double(diff.st_max_before, 3) + " -> " +
          fmt_double(diff.st_max_after, 3) + "\n";
   return out;
-}
-
-std::vector<ContextStats> per_context_stats(const Design& design,
-                                            const Floorplan& fp) {
-  CGRAF_ASSERT(fp.op_to_pe.size() == design.ops.size());
-  const Fabric& fabric = design.fabric;
-  std::vector<ContextStats> stats(
-      static_cast<std::size_t>(design.num_contexts));
-  for (int c = 0; c < design.num_contexts; ++c)
-    stats[static_cast<std::size_t>(c)].context = c;
-
-  for (const Operation& op : design.ops) {
-    auto& s = stats[static_cast<std::size_t>(op.context)];
-    ++s.ops;
-    s.bbox.expand(fabric.loc(fp.pe_of(op.id)));
-  }
-  for (const Edge& e : design.edges) {
-    if (!design.same_context(e)) continue;
-    const int c = design.ops[static_cast<std::size_t>(e.from)].context;
-    stats[static_cast<std::size_t>(c)].comb_wirelength +=
-        manhattan(fabric.loc(fp.pe_of(e.from)), fabric.loc(fp.pe_of(e.to)));
-  }
-  const timing::StaResult sta = timing::run_sta(design, fp);
-  for (int c = 0; c < design.num_contexts; ++c)
-    stats[static_cast<std::size_t>(c)].cpd_ns =
-        sta.context_cpd_ns[static_cast<std::size_t>(c)];
-  return stats;
 }
 
 }  // namespace cgraf::core

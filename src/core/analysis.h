@@ -1,6 +1,6 @@
 // Floorplan analysis: quantitative comparison of two bindings of the same
-// design (baseline vs. re-mapped) and per-context statistics. Used by the
-// CLI's report command and handy for debugging floorplans in tests.
+// design (baseline vs. re-mapped). Used by the CLI's report command and
+// handy for debugging floorplans in tests.
 #pragma once
 
 #include <string>
@@ -8,7 +8,6 @@
 
 #include "cgrra/design.h"
 #include "cgrra/floorplan.h"
-#include "util/geometry.h"
 
 namespace cgraf::core {
 
@@ -33,16 +32,5 @@ FloorplanDiff diff_floorplans(const Design& design, const Floorplan& before,
 
 // Human-readable summary of a diff.
 std::string format_diff(const FloorplanDiff& diff);
-
-struct ContextStats {
-  int context = 0;
-  int ops = 0;
-  Rect bbox;                    // of the context's occupied PEs
-  long long comb_wirelength = 0;  // same-context edges only
-  double cpd_ns = 0;            // the context's longest path
-};
-
-std::vector<ContextStats> per_context_stats(const Design& design,
-                                            const Floorplan& fp);
 
 }  // namespace cgraf::core

@@ -1,7 +1,6 @@
 #include "core/model_builder.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 
 #include "util/check.h"
@@ -70,50 +69,6 @@ Floorplan RemapModel::decode(const std::vector<double>& x) const {
     fp.op_to_pe[static_cast<std::size_t>(op)] = chosen;
   }
   return fp;
-}
-
-std::vector<double> RemapModel::encode(const Floorplan& fp) const {
-  CGRAF_ASSERT(design != nullptr && base != nullptr);
-  if (trivially_infeasible) return {};
-  const Fabric& fabric = design->fabric;
-  if (fp.op_to_pe.size() != design->ops.size()) return {};
-  std::vector<double> x(static_cast<std::size_t>(model.num_vars()), 0.0);
-  for (int op = 0; op < design->num_ops(); ++op) {
-    const int pe = fp.pe_of(op);
-    if (frozen[static_cast<std::size_t>(op)]) {
-      if (pe != base->pe_of(op)) return {};
-      continue;
-    }
-    const auto& cand = candidates[static_cast<std::size_t>(op)];
-    const auto& vars = assign_vars[static_cast<std::size_t>(op)];
-    int chosen = -1;
-    for (std::size_t c = 0; c < cand.size(); ++c) {
-      if (cand[c] == pe) {
-        chosen = static_cast<int>(c);
-        break;
-      }
-    }
-    if (chosen < 0) return {};
-    x[static_cast<std::size_t>(vars[static_cast<std::size_t>(chosen)])] = 1.0;
-  }
-  // Coordinate variables are pinned by equality rows; the |.| splits are
-  // only lower-bounded, so their tight values |du| keep every absx/absy row
-  // feasible and cost nothing (they never appear in the objective).
-  for (std::size_t op = 0; op < coord_x.size(); ++op) {
-    if (coord_x[op] < 0) continue;
-    const Point p = fabric.loc(fp.pe_of(static_cast<int>(op)));
-    x[static_cast<std::size_t>(coord_x[op])] = static_cast<double>(p.x);
-    x[static_cast<std::size_t>(coord_y[op])] = static_cast<double>(p.y);
-  }
-  for (const EdgeAbs& e : edge_abs) {
-    const Point pu = fabric.loc(fp.pe_of(e.u));
-    const Point pv = fabric.loc(fp.pe_of(e.v));
-    x[static_cast<std::size_t>(e.dx)] =
-        static_cast<double>(std::abs(pu.x - pv.x));
-    x[static_cast<std::size_t>(e.dy)] =
-        static_cast<double>(std::abs(pu.y - pv.y));
-  }
-  return x;
 }
 
 RemapModel build_remap_model(const RemapModelSpec& spec) {
@@ -235,12 +190,9 @@ RemapModel build_remap_model(const RemapModelSpec& spec) {
   if (spec.monitored != nullptr) {
     rm.num_monitored_paths = static_cast<int>(spec.monitored->size());
     const double uwd = fabric.unit_wire_delay_ns();
-    // Coordinate variables, created lazily per free op. The indices live on
-    // the RemapModel so encode() can reproduce them from a floorplan.
-    rm.coord_x.assign(static_cast<std::size_t>(n_ops), -1);
-    rm.coord_y.assign(static_cast<std::size_t>(n_ops), -1);
-    std::vector<int>& cx = rm.coord_x;
-    std::vector<int>& cy = rm.coord_y;
+    // Coordinate variables, created lazily per free op.
+    std::vector<int> cx(static_cast<std::size_t>(n_ops), -1);
+    std::vector<int> cy(static_cast<std::size_t>(n_ops), -1);
     auto coord_vars = [&](int op) {
       if (cx[static_cast<std::size_t>(op)] >= 0)
         return std::pair<int, int>{cx[static_cast<std::size_t>(op)],
@@ -282,8 +234,6 @@ RemapModel build_remap_model(const RemapModelSpec& spec) {
                       "absy+[" + edge + "]");
       rm.model.add_ge({{dy, 1.0}, {uy, 1.0}, {vy_, -1.0}}, 0.0,
                       "absy-[" + edge + "]");
-      rm.edge_abs.push_back(
-          RemapModel::EdgeAbs{key.first, key.second, dx, dy});
       return edge_vars[key] = {dx, dy};
     };
 

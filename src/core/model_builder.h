@@ -93,28 +93,9 @@ struct RemapModel {
   // builds the patched model is re-linted like a fresh build.
   bool patch_st_target(double new_target);
 
-  // Coordinate-variable bookkeeping for encode(): the continuous cx/cy
-  // variable per op (-1 / empty when the op has none, e.g. no monitored
-  // paths touch it) and the |dx|,|dy| split variables per free-free edge.
-  struct EdgeAbs {
-    int u = -1, v = -1;
-    int dx = -1, dy = -1;
-  };
-  std::vector<int> coord_x, coord_y;  // per op; empty without path rows
-  std::vector<EdgeAbs> edge_abs;
-
   // Decodes a solver solution vector into a complete floorplan (frozen ops
   // keep their base binding).
   Floorplan decode(const std::vector<double>& x) const;
-
-  // Inverse of decode: expresses a complete floorplan as a model-space
-  // solution vector — assignment binaries from the bindings, coordinate
-  // variables from the PE locations, |.| split variables at their tight
-  // values — suitable as MipOptions::initial_incumbent. Returns an empty
-  // vector when the floorplan is not expressible in this model (a free op
-  // bound outside its candidate set, or a frozen op moved off its base
-  // binding).
-  std::vector<double> encode(const Floorplan& fp) const;
 
   // Expected formulation-(3) shape for verify::lint_formulation, taken from
   // the builder's own bookkeeping.

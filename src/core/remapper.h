@@ -81,13 +81,14 @@ struct RemapOptions {
   aging::NbtiParams nbti{};
   thermal::ThermalParams thermal{};
 
-  // Independent verification of every accepted result (verify/certify.h):
-  // each attempt's floorplan is re-validated straight from the cgrra data
-  // model (exclusivity, stress <= st_target, frozen ops pinned, monitored
-  // paths within budget) and the solver-level solution certificate is
-  // enabled too, both at the certifier's default tolerances. Attempts that
-  // fail certification are rejected as if infeasible.
-  verify::VerifyOptions verify;
+  // Independent verification of every accepted result (verify/certify.h),
+  // on by default: each attempt's floorplan is re-validated straight from
+  // the cgrra data model (exclusivity, stress <= st_target, frozen ops
+  // pinned, monitored paths within budget) and the solver-level solution
+  // certificate is enabled too, both at the certifier's default
+  // tolerances. Attempts that fail certification are rejected as if
+  // infeasible.
+  verify::VerifyOptions verify{.enabled = true};
 };
 
 struct RemapResult {

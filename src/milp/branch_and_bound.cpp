@@ -16,8 +16,10 @@
 namespace cgraf::milp {
 namespace {
 
-// Integrality tolerance, and the relative gap still reported as kOptimal.
+// Integrality tolerance, and the absolute and relative gaps within which a
+// node prunes against the incumbent and a finished search reports kOptimal.
 constexpr double kIntTol = 1e-6;
+constexpr double kAbsGap = 1e-9;
 constexpr double kRelGap = 1e-6;
 
 // A bound change relative to the parent node; nodes share ancestry chains.
@@ -95,29 +97,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     }
     MipOptions inner = opts;
     inner.presolve = false;
-    // Map the incumbent seed into the reduced variable space. A seed that
-    // disagrees with a presolve-fixed value cannot be feasible for the
-    // reduced model, so it is dropped rather than lifted incorrectly.
-    std::vector<double> reduced_seed;
-    inner.initial_incumbent = nullptr;
-    if (opts.initial_incumbent != nullptr &&
-        static_cast<int>(opts.initial_incumbent->size()) == model.num_vars()) {
-      const std::vector<double>& seed = *opts.initial_incumbent;
-      reduced_seed.assign(static_cast<size_t>(pre.reduced.num_vars()), 0.0);
-      bool ok = true;
-      for (int j = 0; j < model.num_vars(); ++j) {
-        const int rj = pre.var_map[static_cast<size_t>(j)];
-        if (rj >= 0) {
-          reduced_seed[static_cast<size_t>(rj)] = seed[static_cast<size_t>(j)];
-        } else if (std::abs(seed[static_cast<size_t>(j)] -
-                            pre.fixed_value[static_cast<size_t>(j)]) >
-                   10 * opts.lp.tol_feas) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) inner.initial_incumbent = &reduced_seed;
-    }
     MipResult r = solve_milp(pre.reduced, inner);
     // Lift the incumbent and re-account the objective/bound for the
     // eliminated variables' constant contribution.
@@ -174,57 +153,10 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     }
   }
 
-  // Validate the heuristic incumbent seed before the tree opens: integral
-  // within kIntTol, inside the (rounded-inward) root bounds, and feasible
-  // under the same 10x tol_feas gate round_candidate applies to its own
-  // candidates. A valid seed becomes the opening incumbent, so best-bound
-  // pruning cuts against its objective from the first node; it never
-  // satisfies stop_at_first_incumbent by itself.
-  std::vector<double> seed_x;
-  double seed_internal = kInf;
-  if (opts.initial_incumbent != nullptr &&
-      static_cast<int>(opts.initial_incumbent->size()) == n) {
-    seed_x = *opts.initial_incumbent;
-    bool ok = true;
-    for (const int j : int_vars) {
-      double& v = seed_x[static_cast<size_t>(j)];
-      const double r = std::round(v);
-      if (std::abs(v - r) > kIntTol) {
-        ok = false;
-        break;
-      }
-      v = r;
-    }
-    for (int j = 0; ok && j < n; ++j) {
-      if (seed_x[static_cast<size_t>(j)] <
-              root_lb[static_cast<size_t>(j)] - 10 * opts.lp.tol_feas ||
-          seed_x[static_cast<size_t>(j)] >
-              root_ub[static_cast<size_t>(j)] + 10 * opts.lp.tol_feas) {
-        ok = false;
-      }
-    }
-    if (ok && model.max_violation(seed_x) <= 10 * opts.lp.tol_feas) {
-      seed_internal = sign * model.objective_value(seed_x);
-      res.incumbent_seeded = true;
-    } else {
-      seed_x.clear();
-    }
-  }
-
   Shared sh;
   {
     MutexLock lk(&sh.mu);
     sh.open.push(Node{nullptr, nullptr, -kInf, 0, 0});
-    if (res.incumbent_seeded) {
-      sh.incumbent_internal = seed_internal;
-      sh.incumbent_x = std::move(seed_x);
-    }
-  }
-  if (res.incumbent_seeded) {
-    obs::Event(events, "bnb.incumbent")
-        .arg("seq", 0L)
-        .arg("obj", sign * seed_internal)
-        .arg("seeded", true);
   }
 
   // Rounds integer variables of an LP point; returns the internal objective
@@ -287,7 +219,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
 
       Node node = sh.open.top();
       sh.open.pop();
-      if (node.bound >= sh.incumbent_internal - opts.abs_gap) {
+      if (node.bound >= sh.incumbent_internal - kAbsGap) {
         // Best-first pool: every node still queued is at least as bad, and
         // the incumbent only improves, so the whole pool prunes with it.
         // In-flight workers may still push better-bounded children.
@@ -348,7 +280,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
         }
         // Integral point, or the cheap rounding heuristic on early /
         // post-incumbent fractional nodes: try to round into an incumbent.
-        const bool prunable = node_bound >= incumbent_at_pop - opts.abs_gap;
+        const bool prunable = node_bound >= incumbent_at_pop - kAbsGap;
         if (!prunable &&
             (branch_var < 0 || have_incumbent || node_seq <= 64)) {
           cand_ok = round_candidate(lp.x, cand_x, cand_internal);
@@ -424,7 +356,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
         }
       }
 
-      if (node_bound >= sh.incumbent_internal - opts.abs_gap ||
+      if (node_bound >= sh.incumbent_internal - kAbsGap ||
           branch_var < 0) {
         emit_node(branch_var < 0 ? "integral" : "prune");
         sh.cv.notify_all();
@@ -506,7 +438,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     res.best_bound = sign * bb;
     const double gap = sh.incumbent_internal - bb;
     const bool gap_closed =
-        gap <= opts.abs_gap ||
+        gap <= kAbsGap ||
         gap <= kRelGap * std::max(1.0, std::abs(sh.incumbent_internal));
     res.status = (exhausted && !sh.proof_incomplete) || gap_closed
                      ? SolveStatus::kOptimal

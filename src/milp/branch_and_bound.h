@@ -22,7 +22,6 @@ struct MipOptions {
   LpOptions lp;
   double time_limit_s = 1e18;
   long max_nodes = 200000;
-  double abs_gap = 1e-9;
   // Stop as soon as any integer-feasible point is found (for pure
   // feasibility models such as the paper's "ObjFunc: Null" formulation).
   bool stop_at_first_incumbent = false;
@@ -38,15 +37,6 @@ struct MipOptions {
   // emits bnb.begin/bnb.node/bnb.incumbent/bnb.pool_prune/bnb.end records
   // and hands the sink to every node LP.
   obs::EventLog* events = nullptr;
-  // Heuristic incumbent seed (full-length structural vector, model space).
-  // When it validates — integral within 1e-6, max constraint violation
-  // within 10x lp.tol_feas — the search opens with it as the incumbent, so
-  // best-bound pruning cuts against its objective from the first node. The
-  // seed never satisfies stop_at_first_incumbent by itself: the tree still
-  // runs until a worker finds its own incumbent or proves none beats the
-  // seed (in which case the seed is returned as kOptimal). An invalid seed
-  // is dropped silently (MipResult::incumbent_seeded stays false).
-  const std::vector<double>* initial_incumbent = nullptr;
   // Cooperative cancellation, checked by every worker between nodes and
   // forwarded into node LPs. A cancelled run reports kCancelled unless an
   // incumbent was already found (then kFeasible, like a limit hit).
@@ -64,9 +54,6 @@ struct MipResult {
   int threads_used = 1;
   std::vector<long> nodes_per_thread;  // size threads_used
   LpStageStats lp_stats;               // aggregated over all node LPs
-  // The initial_incumbent seed validated and entered the search as the
-  // opening incumbent (regardless of whether a worker later beat it).
-  bool incumbent_seeded = false;
 
   bool has_solution() const { return !x.empty(); }
 };

@@ -1,7 +1,7 @@
 // Static analysis of milp::Model instances before they reach the solver.
 //
 // The floorplanner's correctness story has two halves: the model we hand to
-// the solver must encode formulation (3) faithfully, and the solution the
+// the solver must state formulation (3) faithfully, and the solution the
 // solver returns must actually satisfy it (verify/certify.h). This header
 // covers the first half with structural and numerical lint rules; findings
 // carry a stable rule ID so tests and CI can match on them.

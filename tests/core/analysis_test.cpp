@@ -51,21 +51,6 @@ TEST(Analysis, DiffTracksMovesAndWirelength) {
   EXPECT_DOUBLE_EQ(diff.cpd_before_ns, diff.cpd_after_ns);
 }
 
-TEST(Analysis, PerContextStats) {
-  const Design d = small_design();
-  const Floorplan fp{{0, 2, 5}};
-  const auto stats = per_context_stats(d, fp);
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].ops, 2);
-  EXPECT_EQ(stats[1].ops, 1);
-  EXPECT_EQ(stats[0].comb_wirelength, 2);  // (0,0) -> (2,0)
-  EXPECT_EQ(stats[1].comb_wirelength, 0);  // cross-context edge not counted
-  EXPECT_EQ(stats[0].bbox.width(), 3);
-  EXPECT_EQ(stats[0].bbox.height(), 1);
-  EXPECT_NEAR(stats[0].cpd_ns, 2 * 0.87 + 2 * 0.2, 1e-9);
-  EXPECT_NEAR(stats[1].cpd_ns, 3.14, 1e-9);
-}
-
 TEST(Analysis, FormatDiffMentionsTheNumbers) {
   const Design d = small_design();
   const FloorplanDiff diff =

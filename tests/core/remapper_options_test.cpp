@@ -100,6 +100,15 @@ TEST(RemapperOptions, PortfolioRunsTheExactSideOnlyWhereLocalSearchFails) {
             ls_wins);
 }
 
+// Certification needs no opt-in: a remap under default options returns a
+// certified floorplan.
+TEST(RemapperOptions, DefaultOptionsCertify) {
+  const auto bench = bench_for(8);
+  const RemapResult r = aging_aware_remap(bench.design, bench.baseline, {});
+  EXPECT_TRUE(r.improved);
+  EXPECT_TRUE(r.certified);
+}
+
 TEST(RemapperOptions, NullObjectiveStillWorks) {
   const auto bench = bench_for(2);
   RemapOptions opts;

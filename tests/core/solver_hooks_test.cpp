@@ -1,9 +1,5 @@
-// Two solver hooks that no remap strategy sets: a seeded opening incumbent
-// for branch & bound (MipOptions::initial_incumbent, fed by
-// RemapModel::encode of a local-search floorplan) and the cooperative
-// cancel flag (LpOptions/MipOptions/TwoStepOptions/LocalSearchOptions::
-// cancel). bench/ls_vs_exact's ls_seeding row measures the first on the
-// same instance.
+// A solver hook that no remap strategy sets: the cooperative cancel flag
+// (LpOptions/MipOptions/TwoStepOptions/LocalSearchOptions::cancel).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,8 +14,8 @@ namespace {
 
 constexpr double kDmuStress = 3.14 / 5.0;
 
-// One fixture shape shared by every test: n kMux ops over 2 contexts on a
-// dim x dim fabric, packed onto the low PEs so balancing requires moves.
+// n kMux ops over 2 contexts on a dim x dim fabric, packed onto the low PEs
+// so balancing requires moves.
 struct Fixture {
   Design design;
   Floorplan base;
@@ -42,54 +38,6 @@ struct Fixture {
       for (int pe = 0; pe < design.fabric.num_pes(); ++pe) c.push_back(pe);
   }
 };
-
-TEST(SolverHooks, SeededIncumbentShrinksTheBnbTree) {
-  // The seeding mechanism, isolated: a certified LS floorplan encoded into
-  // the exact model enters the search as the opening incumbent and
-  // supplies the gap cutoff from node one. With a best-first pool the
-  // nodes below the optimum must be processed either way, so the
-  // measurable saving is the incumbent-hunting prefix: under an absolute
-  // gap the unseeded tree branches until it finds its own incumbent while
-  // the seeded tree stops as soon as the bound is within gap of the seed.
-  //
-  // Heterogeneous stresses (DMU 0.628 vs ALU 0.174) packed onto a 3x3
-  // fabric: the only balanced layouts pair muxes with adds, so the root LP
-  // is fractional and the unseeded incumbent hunt takes real branching.
-  Fixture f(16, 3);
-  for (int i = 0; i < 16; ++i) {
-    f.design.ops[static_cast<std::size_t>(i)].kind =
-        (i % 4) < 2 ? OpKind::kMux : OpKind::kAdd;
-  }
-  constexpr double kAluStress = 0.87 / 5.0;
-  f.spec.st_target = kDmuStress + kAluStress + 1e-6;
-  const RemapModel rm = build_remap_model(f.spec);
-  ASSERT_FALSE(rm.trivially_infeasible);
-
-  milp::MipOptions mo;
-  mo.num_threads = 1;  // deterministic node counts
-  mo.abs_gap = 2.0;    // displacement units
-  const milp::MipResult unseeded = solve_milp(rm.model, mo);
-  ASSERT_EQ(unseeded.status, milp::SolveStatus::kOptimal);
-  ASSERT_GT(unseeded.nodes, 1);
-  EXPECT_FALSE(unseeded.incumbent_seeded);
-
-  LocalSearchOptions ls_opts;
-  ls_opts.seed = 17;
-  ls_opts.max_iters = 6000;
-  ls_opts.restarts = 6;
-  const LocalSearchResult lsr = local_search_remap(f.spec, ls_opts);
-  ASSERT_TRUE(lsr.feasible && lsr.certified);
-  const std::vector<double> seed = rm.encode(lsr.floorplan);
-  ASSERT_FALSE(seed.empty());
-
-  milp::MipOptions seeded_opts = mo;
-  seeded_opts.initial_incumbent = &seed;
-  const milp::MipResult seeded = solve_milp(rm.model, seeded_opts);
-  EXPECT_TRUE(seeded.incumbent_seeded);
-  EXPECT_EQ(seeded.status, milp::SolveStatus::kOptimal);
-  EXPECT_LE(seeded.obj, unseeded.obj + mo.abs_gap + 1e-6);
-  EXPECT_LT(seeded.nodes, unseeded.nodes);
-}
 
 TEST(SolverHooks, RaisedCancelFlagStopsEverySolver) {
   // A flag raised before the call stops each solver at its first check.

@@ -90,7 +90,7 @@ TEST(Mutation, PerturbedSolutionVectorIsRejected) {
   const core::TwoStepResult r = solve_two_step(rm, opts);
   ASSERT_EQ(r.status, milp::SolveStatus::kOptimal);
 
-  // Re-encode the floorplan as a model solution vector, then flip one
+  // Write the floorplan back as a model solution vector, then flip one
   // assignment bit on (without turning its sibling off): the mutant violates
   // the op's exactly-one partition row.
   std::vector<double> x(static_cast<std::size_t>(rm.model.num_vars()), 0.0);

@@ -369,8 +369,6 @@ int cmd_remap(const Args& args) {
       // `--threads 0` means all hardware threads.
       !read_int(args, "threads", &opts.solver.mip.num_threads, 0, 4096))
     return 1;
-  // Every floorplan the CLI writes carries the independent certificate.
-  opts.verify.enabled = true;
   // Solve strategy, resolved through the one shared table
   // (core/strategy.h): exact rounding modes, the local-search heuristic,
   // or the portfolio of both. `--threads N` reaches only the branch &

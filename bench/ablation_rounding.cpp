@@ -59,6 +59,8 @@ int main() {
     opts.mip.stop_at_first_incumbent = true;
     opts.mip.max_nodes = 20000;
     opts.mip.time_limit_s = 60.0;
+    // One B&B worker: the node counts are then the same on every run.
+    opts.mip.num_threads = 1;
     const auto r = solve_two_step(rm, opts);
     table.add_row({name, milp::to_string(r.status),
                    std::to_string(r.stats.vars_fixed),

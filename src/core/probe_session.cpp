@@ -13,17 +13,20 @@ ProbeSession::ProbeSession(RemapModelSpec spec, TwoStepOptions solver,
                            bool warm)
     : spec_(std::move(spec)), solver_(std::move(solver)), warm_(warm) {
   CGRAF_ASSERT(spec_.design != nullptr && spec_.base != nullptr);
-  // The session's sink reaches the persistent LP engine as well as the
-  // nested two-step solves.
+  // The session's sink and cancel flag reach the persistent LP engine as
+  // well as the nested two-step solves.
   if (solver_.lp.events == nullptr) solver_.lp.events = solver_.events;
+  if (solver_.lp.cancel == nullptr) solver_.lp.cancel = solver_.cancel;
 }
 
 bool ProbeSession::ensure_model(double target) {
   // A trivially-infeasible model records no rows to patch; the only way to
   // re-probe it at another target is a fresh build. (Only the frozen-stress
   // early-out depends on the target, but rebuilding on every reason is
-  // exactly what the cold path does, so verdicts stay identical.)
-  if (!built_ || (rm_.trivially_infeasible && target != rm_.st_target)) {
+  // exactly what a cold session does, so verdicts stay identical.) A cold
+  // session rebuilds before every probe.
+  if (!built_ || !warm_ ||
+      (rm_.trivially_infeasible && target != rm_.st_target)) {
     spec_.st_target = target;
     rm_ = build_remap_model(spec_);
     built_ = true;
@@ -49,7 +52,7 @@ bool ProbeSession::ensure_model(double target) {
   return true;
 }
 
-TwoStepResult ProbeSession::solve_lp_probe() {
+TwoStepResult ProbeSession::lp_probe() {
   TwoStepResult res;
   res.stats.vars_total = rm_.num_binary_vars;
   if (engine_ == nullptr) {
@@ -86,16 +89,14 @@ TwoStepResult ProbeSession::solve_lp_probe() {
                      : lp.status;
     return res;
   }
-  // Same acceptance gate as solve_two_step's lp_only path: the feasibility
-  // verdict is independently certified (integrality waived).
+  // The binary-searched presearch trusts this verdict, so the LP point is
+  // independently certified (integrality waived).
   res.status = milp::SolveStatus::kOptimal;
   if (solver_.verify.enabled) {
     const verify::Certificate cert =
         verify::certify_solution(rm_.model, lp.x, {}, /*relaxed=*/true);
-    if (cert.ok) {
-      res.certified = true;
-    } else {
-      res.certified = false;
+    res.certified = cert.ok;
+    if (!cert.ok) {
       res.certify_error = cert.summary();
       res.status = milp::SolveStatus::kNumericalError;
     }
@@ -103,51 +104,42 @@ TwoStepResult ProbeSession::solve_lp_probe() {
   return res;
 }
 
+TwoStepResult ProbeSession::two_step_probe() {
+  TwoStepOptions probe_opts = solver_;
+  const bool have_warm = !basis_.empty();
+  probe_opts.warm_basis = have_warm ? &basis_ : nullptr;
+  TwoStepResult res = solve_two_step(rm_, probe_opts);
+  if (have_warm) {
+    if (res.stats.warm_start_used) ++stats_.warm_hits;
+    else ++stats_.basis_fallbacks;
+  }
+  if (!res.basis.empty()) basis_ = res.basis;
+  return res;
+}
+
+TwoStepResult ProbeSession::solve_lp(double st_target) {
+  return probe(st_target, /*lp=*/true);
+}
+
 TwoStepResult ProbeSession::solve(double st_target) {
+  return probe(st_target, /*lp=*/false);
+}
+
+TwoStepResult ProbeSession::probe(double st_target, bool lp) {
   ++stats_.probes;
   // Snapshot for the probe.solve record: the deltas below ARE the session's
   // accounting, so the analyzer's warm-hit/fallback totals summed over
   // probe.solve events match ProbeSessionStats exactly.
   const ProbeSessionStats before = stats_;
   const double t0 = now_seconds();
-  const char* mode = "two_step";
-  bool lp_gate = false;  // the verdict came from solve_lp_probe's own gate
-
-  TwoStepResult res = [&]() -> TwoStepResult {
-    if (!warm_) {
-      // Forced-cold mode: the legacy rebuild-everything path, byte for
-      // byte.
-      mode = "cold";
-      spec_.st_target = st_target;
-      rm_ = build_remap_model(spec_);
-      built_ = true;
-      ++stats_.model_rebuilds;
-      return solve_two_step(rm_, solver_);
-    }
-
-    if (!ensure_model(st_target)) {
-      mode = "trivial_infeasible";
-      TwoStepResult r;
-      r.status = milp::SolveStatus::kInfeasible;
-      return r;
-    }
-    if (solver_.lp_only) {
-      mode = "lp";
-      lp_gate = true;
-      return solve_lp_probe();
-    }
-
-    TwoStepOptions probe_opts = solver_;
-    const bool have_warm = !basis_.empty();
-    probe_opts.warm_basis = have_warm ? &basis_ : nullptr;
-    TwoStepResult r = solve_two_step(rm_, probe_opts);
-    if (have_warm) {
-      if (r.stats.warm_start_used) ++stats_.warm_hits;
-      else ++stats_.basis_fallbacks;
-    }
-    if (!r.basis.empty()) basis_ = r.basis;
-    return r;
-  }();
+  const char* mode = lp ? "lp" : "two_step";
+  TwoStepResult res;
+  if (ensure_model(st_target)) {
+    res = lp ? lp_probe() : two_step_probe();
+  } else {
+    mode = "trivial_infeasible";
+    res.status = milp::SolveStatus::kInfeasible;
+  }
 
   obs::Event ev(solver_.events, "probe.solve");
   if (ev.active()) {
@@ -163,7 +155,7 @@ TwoStepResult ProbeSession::solve(double st_target) {
         .arg("seconds", now_seconds() - t0)
         // A rejection inside solve_two_step is on that call's twostep.solve
         // record already; counting it here too would count it twice.
-        .arg("certify_rejected", lp_gate && !res.certify_error.empty());
+        .arg("certify_rejected", lp && !res.certify_error.empty());
   }
   return res;
 }

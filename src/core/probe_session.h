@@ -5,12 +5,12 @@
 // stress rows' right-hand side (`ST_target`) changes. A ProbeSession builds
 // the RemapModel once, patches only those rows between probes
 // (RemapModel::patch_st_target), keeps one SimplexEngine alive across
-// pure-LP probes so the computational form is standardized once, and
+// LP-relaxation probes so the computational form is standardized once, and
 // warm-starts every solve from the previous probe's returned basis —
 // falling back to the cold slack basis whenever the chained basis is stale
-// or its factorization singular. With warm == false the session degrades
-// to the legacy behavior (full rebuild + cold solve per probe), which the
-// differential tests and the `--warm-probes=off` escape hatch rely on.
+// or its factorization singular. With warm == false every probe rebuilds
+// the model and drops the engine and the chained basis first, then runs
+// the same code: the cold reference the differential tests compare with.
 #pragma once
 
 #include <memory>
@@ -42,31 +42,36 @@ class ProbeSession {
  public:
   // `spec.st_target` is ignored; every probe supplies its own target. The
   // pointers inside `spec` (design, base floorplan, monitored paths) are
-  // borrowed and must outlive the session. `solver.lp_only` selects the
-  // persistent-engine pure-LP path; otherwise each probe runs the full
-  // two-step solve on the patched model with a chained warm basis.
+  // borrowed and must outlive the session.
   ProbeSession(RemapModelSpec spec, TwoStepOptions solver, bool warm = true);
 
-  // Solves the spec at `st_target`. Results are verdict-identical to a
-  // cold rebuild at the same target.
+  // The LP relaxation at `st_target` (the presearch's probe): kOptimal when
+  // it is feasible, with the LP point certified when solver.verify is on.
+  TwoStepResult solve_lp(double st_target);
+  // The two-step integer attempt at `st_target` (the Delta loop's probe).
+  // Both are verdict-identical to a cold rebuild at the same target.
   TwoStepResult solve(double st_target);
 
   const ProbeSessionStats& stats() const { return stats_; }
-  // The session's model as of the last solve (valid once solve() ran).
+  // The session's model as of the last solve (valid once a probe ran).
   const RemapModel& model() const { return rm_; }
 
  private:
+  // One probe: ensure_model, then the LP probe or the two-step solve, and
+  // the probe.solve record.
+  TwoStepResult probe(double st_target, bool lp);
   // Brings rm_ (and the persistent engine's row bounds) to `target`.
   // Returns false when the target is trivially infeasible.
   bool ensure_model(double target);
-  TwoStepResult solve_lp_probe();
+  TwoStepResult lp_probe();
+  TwoStepResult two_step_probe();
 
   RemapModelSpec spec_;
   TwoStepOptions solver_;
   bool warm_ = true;
   RemapModel rm_;
   bool built_ = false;
-  std::unique_ptr<milp::SimplexEngine> engine_;  // lp_only probes only
+  std::unique_ptr<milp::SimplexEngine> engine_;  // LP probes only
   std::vector<milp::ColStatus> basis_;           // last returned basis
   ProbeSessionStats stats_;
 };

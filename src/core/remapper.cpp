@@ -115,13 +115,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     res.certified = verify::certify_floorplan(fspec, baseline).ok;
   };
 
-  // Incremental-probe accounting, folded in from every session the flow
-  // opens (the presearch geometries and the Delta loop).
-  auto fold_session = [&](const ProbeSessionStats& ps) {
-    res.probe_warm_hits += ps.warm_hits;
-    res.probe_basis_fallbacks += ps.basis_fallbacks;
-    res.probe_model_rebuilds += ps.model_rebuilds;
-  };
   auto emit_end = [&] {
     res.seconds = now_seconds() - t_start;
     obs::Event ev(events, "remap.end");
@@ -129,8 +122,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       ev.arg("improved", res.improved)
           .arg("st_target_final", res.st_target_final)
           .arg("attempts", res.outer_iterations)
-          .arg("warm_hits", res.probe_warm_hits)
-          .arg("basis_fallbacks", res.probe_basis_fallbacks)
           .arg("mttf_gain", res.mttf_gain)
           .arg("certify_rejections", res.certify_rejections)
           .arg("seconds", res.seconds);
@@ -178,8 +169,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         compute_candidates(design, base, frozen, monitored,
                            res.cpd_before_ns, opts.candidates);
 
-    TwoStepOptions probe_opts = opts.solver;
-    probe_opts.lp_only = true;
     // Smallest LP-feasible target (with path constraints) for a given frozen
     // geometry: the start of the Delta loop, which alone would need
     // O(1/kDeltaFrac) integer attempts to get there. One probe session per
@@ -194,18 +183,15 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       spec.monitored = &monitored;
       spec.cpd_ns = res.cpd_before_ns;
       spec.objective = ObjectiveMode::kNull;  // feasibility only
-      ProbeSession session(std::move(spec), probe_opts, opts.warm_probes);
+      ProbeSession session(std::move(spec), opts.solver, opts.warm_probes);
       auto lp_feasible = [&](double target) {
-        return session.solve(target).status == milp::SolveStatus::kOptimal;
+        return session.solve_lp(target).status == milp::SolveStatus::kOptimal;
       };
       const double lo = std::max(st.st_target, 1e-12);
-      const double found =
-          lp_feasible(lo) ? lo
-                          : bisect_st_target(lo, res.st_max_before,
-                                             kPresearchProbes, 0.0,
-                                             lp_feasible);
-      fold_session(session.stats());
-      return found;
+      return lp_feasible(lo) ? lo
+                             : bisect_st_target(lo, res.st_max_before,
+                                                kPresearchProbes, 0.0,
+                                                lp_feasible);
     };
     double st_target = presearch(base, candidates);
     if (opts.mode == RemapMode::kRotate && round == 0) {
@@ -376,7 +362,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
           last_fail, found_at, kRefineProbes, delta,
           [&](double target) { return attempt(target, found, found_cpd); });
     }
-    fold_session(attempt_session.stats());
     // No feasible floorplan with this rotation: re-draw (Rotate) or give up.
     if (found_at < 0.0) continue;
 

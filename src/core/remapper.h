@@ -55,9 +55,8 @@ struct RemapOptions {
   // Incremental probe sessions (core/probe_session.h) for the LP presearch
   // and the Delta-relaxation retry loop: the remap model is built once per
   // geometry, only the stress-target rows are patched between attempts, and
-  // each LP warm-starts from the previous attempt's basis. Off = the legacy
-  // full rebuild + cold solve per attempt (the `--warm-probes off` escape
-  // hatch).
+  // each LP warm-starts from the previous attempt's basis. Off = every
+  // probe rebuilds the model and solves cold, on the same code path.
   bool warm_probes = true;
 
   std::uint64_t seed = 1;
@@ -113,11 +112,6 @@ struct RemapResult {
   int outer_iterations = 0;
   int num_frozen_ops = 0;
   int num_monitored_paths = 0;
-  // Aggregated incremental-probe accounting across the presearch and the
-  // Delta loop (see ProbeSessionStats).
-  int probe_warm_hits = 0;
-  int probe_basis_fallbacks = 0;
-  int probe_model_rebuilds = 0;
   double seconds = 0.0;
   std::string note;  // human-readable outcome summary
 

@@ -1,6 +1,7 @@
 #include "core/two_step.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/strategy.h"
 #include "milp/simplex.h"
@@ -19,26 +20,22 @@ constexpr double kRoundThreshold = 0.95;
 // offending round and ban the forced variable, up to this many bans before
 // giving up on the current st_target.
 constexpr int kDiveBanBudget = 120;
+// Randomized rounding's stream: every run draws the same samples.
+constexpr std::uint64_t kRandomizedRoundSeed = 1;
 
-// Independent acceptance gate: re-validate the solution vector against the
-// *original* model (not the bound-tightened copy the solver ran on). A
-// failed certification rejects the result instead of shipping an illegal
-// floorplan. Returns true when the result survives.
-bool certify_accept(const RemapModel& rm, const std::vector<double>& x,
-                    const TwoStepOptions& opts, bool relaxed,
-                    TwoStepResult& res) {
-  if (!opts.verify.enabled) return true;
-  const verify::Certificate cert =
-      verify::certify_solution(rm.model, x, {}, relaxed);
-  if (cert.ok) {
-    res.certified = true;
-    return true;
-  }
-  res.certified = false;
+// Independent acceptance gate: re-validate the integral solution vector
+// against the *original* model (not the bound-tightened copy the solver ran
+// on). A failed certification rejects the result instead of shipping an
+// illegal floorplan.
+void certify_accept(const RemapModel& rm, const std::vector<double>& x,
+                    const TwoStepOptions& opts, TwoStepResult& res) {
+  if (!opts.verify.enabled) return;
+  const verify::Certificate cert = verify::certify_solution(rm.model, x);
+  res.certified = cert.ok;
+  if (cert.ok) return;
   res.certify_error = cert.summary();
   res.status = milp::SolveStatus::kNumericalError;
   res.floorplan = Floorplan{};
-  return false;
 }
 
 // Randomized rounding (ablation): per op, sample a candidate with
@@ -89,7 +86,7 @@ void run_bnb(const milp::Model& model, const RemapModel& rm,
   if (mip.has_solution()) {
     res.status = milp::SolveStatus::kOptimal;
     res.floorplan = rm.decode(mip.x);
-    certify_accept(rm, mip.x, opts, /*relaxed=*/false, res);
+    certify_accept(rm, mip.x, opts, res);
   } else {
     res.status = mip.status;
   }
@@ -241,7 +238,7 @@ void iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
   // is certified at full (integral) strictness.
   res.status = milp::SolveStatus::kOptimal;
   res.floorplan = rm.decode(lp.x);
-  certify_accept(rm, lp.x, opts, /*relaxed=*/false, res);
+  certify_accept(rm, lp.x, opts, res);
 }
 
 }  // namespace
@@ -263,7 +260,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
     obs::Event ev(opts.events, "twostep.solve");
     if (ev.active()) {
       ev.arg("strategy", to_string(opts.strategy))
-          .arg("lp_only", opts.lp_only)
           .arg("status", milp::to_string(res.status))
           .arg("lp_iterations", res.stats.lp_iterations)
           .arg("mip_lp_iterations", res.stats.mip_lp_iterations)
@@ -283,20 +279,20 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   }
 
   // --- Pure one-shot ILP (scaling baseline).
-  if (opts.strategy == RoundingStrategy::kNone && !opts.lp_only) {
+  if (opts.strategy == RoundingStrategy::kNone) {
     run_bnb(rm.model, rm, opts, res);
     finish();
     return res;
   }
 
   // --- Default: iterated LP dive.
-  if (opts.strategy == RoundingStrategy::kIterativeDive && !opts.lp_only) {
+  if (opts.strategy == RoundingStrategy::kIterativeDive) {
     iterative_dive(rm, opts, res);
     finish();
     return res;
   }
 
-  // --- Step A: LP relaxation (lp_only, one-shot fixing, randomized).
+  // --- Step A: LP relaxation (one-shot fixing, randomized).
   milp::LpResult lp;
   {
     milp::Model relaxed = rm.model;
@@ -317,14 +313,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
     finish();
     return res;
   }
-  if (opts.lp_only) {
-    // The binary-searched feasibility oracles trust this verdict, so the LP
-    // point is certified too (integrality waived on the relaxation).
-    res.status = milp::SolveStatus::kOptimal;
-    certify_accept(rm, lp.x, opts, /*relaxed=*/true, res);
-    finish();
-    return res;
-  }
 
   // --- Step B: pre-map (fix) variables once.
   milp::Model fixed_model = rm.model;
@@ -337,7 +325,7 @@ TwoStepResult solve_two_step(const RemapModel& rm,
       }
     }
   } else {  // kRandomizedRound
-    Rng rng(opts.seed);
+    Rng rng(kRandomizedRoundSeed);
     fixed = randomized_fix(rm, lp.x, fixed_model, rng);
   }
   res.stats.vars_fixed = fixed;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 
 #include "core/model_builder.h"
 #include "milp/branch_and_bound.h"
@@ -33,19 +32,15 @@ enum class RoundingStrategy {
 
 struct TwoStepOptions {
   RoundingStrategy strategy = RoundingStrategy::kIterativeDive;
-  // Check feasibility with the LP relaxation only (no integer solve); used
-  // by the remapper's LP presearch, where only a lower bound is needed.
-  bool lp_only = false;
   milp::LpOptions lp;
   milp::MipOptions mip;
-  std::uint64_t seed = 1;  // randomized rounding only
-  // Warm start for the first LP solved (the dive's root LP, or the lp_only
-  // relaxation): a basis previously returned for a model with the same
-  // shape, typically the previous probe of an incremental ST_target
-  // session. Stale (wrong-sized) or singular bases are detected inside the
-  // simplex engine and silently fall back to the cold slack basis;
-  // stats.warm_start_used reports what actually happened. Not owned — must
-  // outlive the solve.
+  // Warm start for the first LP solved (the dive's root LP, or the one-pass
+  // strategies' relaxation): a basis previously returned for a model with
+  // the same shape, typically the previous probe of an incremental
+  // ST_target session. Stale (wrong-sized) or singular bases are detected
+  // inside the simplex engine and silently fall back to the cold slack
+  // basis; stats.warm_start_used reports what actually happened. Not
+  // owned — must outlive the solve.
   const std::vector<milp::ColStatus>* warm_basis = nullptr;
   // Independent re-validation of every accepted solution vector against the
   // model (verify/certify.h). A solution that fails certification is
@@ -86,13 +81,14 @@ struct TwoStepStats {
 };
 
 struct TwoStepResult {
-  // kOptimal: integer floorplan found (or LP feasible when lp_only).
+  // kOptimal: integer floorplan found (or, from ProbeSession::solve_lp, the
+  // LP relaxation is feasible).
   // kInfeasible: proven, no floorplan exists at this st_target.
   // A limit reports its own status and proves nothing: the LP's iteration
   // or time limit, a cancel, B&B's node cap, or kNodeLimit when the dive
   // spends its ban budget or its bans over-constrain the root.
   milp::SolveStatus status = milp::SolveStatus::kNumericalError;
-  Floorplan floorplan;  // empty when lp_only or infeasible
+  Floorplan floorplan;  // empty after an LP probe or when infeasible
   TwoStepStats stats;
   // Final basis of the last LP solved (empty when no LP ran, e.g. the pure
   // one-shot ILP strategy). Feed it back through opts.warm_basis to

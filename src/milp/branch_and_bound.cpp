@@ -167,7 +167,7 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     xi = x;
     for (const int j : int_vars)
       xi[static_cast<size_t>(j)] = std::round(xi[static_cast<size_t>(j)]);
-    if (model.max_violation(xi) > 10 * opts.lp.tol_feas) return false;
+    if (model.max_violation(xi) > 10 * kLpFeasTol) return false;
     internal = sign * model.objective_value(xi);
     return true;
   };

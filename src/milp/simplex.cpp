@@ -27,6 +27,7 @@ const char* to_string(SolveStatus s) {
 
 namespace {
 
+constexpr double kLpCostTol = 1e-7;   // reduced-cost (dual) tolerance
 constexpr double kPivotZero = 1e-9;   // |w_i| below this cannot pivot
 constexpr long kBlandTrigger = 2000;  // stalled iterations before Bland mode
 constexpr double kRhoZero = 1e-12;    // pricing-update row entries below this
@@ -86,8 +87,8 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   CGRAF_ASSERT(static_cast<int>(lb.size()) == n_);
   CGRAF_ASSERT(static_cast<int>(ub.size()) == n_);
   const double t_start = now_seconds();
-  const double tolf = opts_.tol_feas;
-  const double told = opts_.tol_cost;
+  const double tolf = kLpFeasTol;
+  const double told = kLpCostTol;
 
   const int total = n_ + m_;
   const size_t m_size = static_cast<size_t>(m_);

@@ -40,11 +40,12 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus s);
 
+// Every LP solve's bound/row feasibility tolerance.
+inline constexpr double kLpFeasTol = 1e-7;
+
 struct LpOptions {
   long max_iters = 500000;
   double time_limit_s = 1e18;
-  double tol_feas = 1e-7;   // bound/row feasibility tolerance
-  double tol_cost = 1e-7;   // reduced-cost (dual) tolerance
   // When non-null and enabled, every solve() emits one "lp.solve" record
   // here (obs/event_log.h). The analyzer's LP-iteration totals sum these,
   // so the pointer is plumbed to EVERY engine (B&B children, dive LPs,

@@ -1,10 +1,11 @@
 // Differential harness for the incremental ST_target probes, over a seeded
 // random fabric/context corpus: a ProbeSession with the remapper's
-// presearch shape (frozen critical paths + monitored-path budgets, LP-only
-// kNull probes) must answer a shared bisection ladder verdict-for-verdict
-// like a cold session that rebuilds the model at every probe. Path
+// presearch shape (frozen critical paths + monitored-path budgets, kNull LP
+// probes) must answer a shared bisection ladder verdict-for-verdict like a
+// cold session that rebuilds the model at every probe. Path
 // constraints make ST_low genuinely infeasible here, so the ladders
-// actually bisect and the warm session chains bases across probes.
+// actually bisect and the warm session chains bases across probes. The
+// sessions' probe.solve records, summed, reproduce their counters.
 // Labeled `slow` — it runs a few hundred LP solves.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include "cgrra/stress.h"
 #include "core/candidates.h"
 #include "core/probe_session.h"
+#include "obs/event_log.h"
+#include "obs/postmortem.h"
 #include "timing/paths.h"
 #include "util/rng.h"
 #include "workloads/suite.h"
@@ -70,7 +73,7 @@ struct PresearchFixture {
     st_up = stress.max_accumulated();
   }
 
-  ProbeSession session(bool warm) const {
+  ProbeSession session(bool warm, obs::EventLog* events = nullptr) const {
     RemapModelSpec spec;
     spec.design = design;
     spec.base = base;
@@ -80,7 +83,7 @@ struct PresearchFixture {
     spec.cpd_ns = cpd_ns;
     spec.objective = ObjectiveMode::kNull;
     TwoStepOptions solver;
-    solver.lp_only = true;
+    solver.events = events;
     return ProbeSession(std::move(spec), solver, warm);
   }
 };
@@ -89,12 +92,17 @@ TEST(ProbeDifferential, SessionMatchesColdRebuildOnBisectionLadders) {
   int probes_total = 0;
   int warm_hits_total = 0;
   int infeasible_total = 0;
+  // Every session records into one log; its probe.solve flags must sum to
+  // the sessions' own counters.
+  obs::EventLog log;
+  log.open_memory();
+  ProbeSessionStats sessions_total;
   for (const auto& spec : corpus(50)) {
     const auto bench = workloads::generate_benchmark(spec);
     const PresearchFixture fx(bench);
     if (fx.st_up <= 0.0) continue;
-    ProbeSession warm = fx.session(true);
-    ProbeSession cold = fx.session(false);
+    ProbeSession warm = fx.session(true, &log);
+    ProbeSession cold = fx.session(false, &log);
 
     // Both sessions walk the same ladder; the bisection branches on the
     // warm verdict, so a single divergence would snowball into different
@@ -103,8 +111,8 @@ TEST(ProbeDifferential, SessionMatchesColdRebuildOnBisectionLadders) {
     double hi = fx.st_up;
     for (int it = 0; it < 6; ++it) {
       const double mid = 0.5 * (lo + hi);
-      const TwoStepResult rw = warm.solve(mid);
-      const TwoStepResult rc = cold.solve(mid);
+      const TwoStepResult rw = warm.solve_lp(mid);
+      const TwoStepResult rc = cold.solve_lp(mid);
       const bool vw = rw.status == milp::SolveStatus::kOptimal;
       const bool vc = rc.status == milp::SolveStatus::kOptimal;
       ASSERT_EQ(vw, vc) << spec.name << " target " << mid << " warm="
@@ -129,7 +137,24 @@ TEST(ProbeDifferential, SessionMatchesColdRebuildOnBisectionLadders) {
               warm.stats().probes)
         << spec.name;
     EXPECT_GE(warm.stats().model_rebuilds, 1) << spec.name;
+    for (const ProbeSession* session : {&warm, &cold}) {
+      sessions_total.probes += session->stats().probes;
+      sessions_total.warm_hits += session->stats().warm_hits;
+      sessions_total.basis_fallbacks += session->stats().basis_fallbacks;
+      sessions_total.model_rebuilds += session->stats().model_rebuilds;
+      sessions_total.patches += session->stats().patches;
+    }
   }
+  log.close();
+  obs::PostmortemReport report;
+  std::string error;
+  ASSERT_TRUE(obs::analyze_events(log.memory_contents(), &report, &error))
+      << error;
+  EXPECT_EQ(report.probes, sessions_total.probes);
+  EXPECT_EQ(report.probe_warm_hits, sessions_total.warm_hits);
+  EXPECT_EQ(report.probe_fallbacks, sessions_total.basis_fallbacks);
+  EXPECT_EQ(report.probe_rebuilds, sessions_total.model_rebuilds);
+  EXPECT_EQ(report.probe_patches, sessions_total.patches);
   // The corpus must actually bisect (both verdicts present) and the warm
   // path must actually chain bases — otherwise this test proves nothing.
   EXPECT_GT(probes_total, 100);
@@ -137,6 +162,39 @@ TEST(ProbeDifferential, SessionMatchesColdRebuildOnBisectionLadders) {
   EXPECT_GT(infeasible_total, 0);
   std::printf("[corpus] %d probes, %d warm hits, %d infeasible verdicts\n",
               probes_total, warm_hits_total, infeasible_total);
+}
+
+TEST(ProbeDifferential, ForcedColdProbeIsAFreshSessionsFirstProbe) {
+  // A forced-cold session rebuilds and solves from the slack basis at every
+  // probe, so each of its probes, LP or two-step, must be exactly the first
+  // probe of a brand-new session at that target: same status, same LP
+  // iterations.
+  for (const auto& spec : corpus(6)) {
+    const auto bench = workloads::generate_benchmark(spec);
+    const PresearchFixture fx(bench);
+    if (fx.st_up <= 0.0) continue;
+    for (const bool lp : {true, false}) {
+      ProbeSession cold = fx.session(false);
+      double lo = fx.st_low;
+      double hi = fx.st_up;
+      for (int it = 0; it < 4; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        ProbeSession fresh = fx.session(true);
+        const TwoStepResult rc = lp ? cold.solve_lp(mid) : cold.solve(mid);
+        const TwoStepResult rf = lp ? fresh.solve_lp(mid) : fresh.solve(mid);
+        ASSERT_EQ(rc.status, rf.status)
+            << spec.name << (lp ? " lp" : " two_step") << " target " << mid;
+        EXPECT_EQ(rc.stats.lp_iterations, rf.stats.lp_iterations)
+            << spec.name << (lp ? " lp" : " two_step") << " target " << mid;
+        EXPECT_EQ(rc.stats.dive_rounds, rf.stats.dive_rounds) << spec.name;
+        if (rc.status == milp::SolveStatus::kOptimal) hi = mid;
+        else lo = mid;
+      }
+      EXPECT_EQ(cold.stats().model_rebuilds, cold.stats().probes)
+          << spec.name;
+      EXPECT_EQ(cold.stats().warm_hits, 0) << spec.name;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // A solver hook that no remap strategy sets: the cooperative cancel flag
-// (LpOptions/MipOptions/TwoStepOptions/LocalSearchOptions::cancel).
+// (LpOptions/MipOptions/TwoStepOptions/LocalSearchOptions::cancel, and the
+// ProbeSession that forwards TwoStepOptions::cancel).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <vector>
 
 #include "core/local_search.h"
+#include "core/probe_session.h"
 #include "core/two_step.h"
 #include "milp/branch_and_bound.h"
 
@@ -55,6 +57,17 @@ TEST(SolverHooks, RaisedCancelFlagStopsEverySolver) {
   const TwoStepResult dived = solve_two_step(rm, dive);
   EXPECT_EQ(dived.status, milp::SolveStatus::kCancelled);
   EXPECT_EQ(dived.stats.dive_rounds, 0);
+
+  // The presearch's LP probe: the session hands the flag to its engine.
+  ProbeSession free_session(f.spec, {});
+  ASSERT_EQ(free_session.solve_lp(f.spec.st_target).status,
+            milp::SolveStatus::kOptimal);
+  TwoStepOptions probe;
+  probe.cancel = &cancel;
+  ProbeSession cancelled_session(f.spec, probe);
+  const TwoStepResult probed = cancelled_session.solve_lp(f.spec.st_target);
+  EXPECT_EQ(probed.status, milp::SolveStatus::kCancelled);
+  EXPECT_EQ(probed.stats.lp_iterations, 0);
 
   // Two workers as well: both must see the flag and leave the pool.
   for (const int threads : {1, 2}) {

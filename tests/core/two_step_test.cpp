@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cgrra/stress.h"
+#include "core/probe_session.h"
 
 namespace cgraf::core {
 namespace {
@@ -24,8 +25,8 @@ struct Fixture {
     }
   }
 
-  RemapModel model(double st_target,
-                   ObjectiveMode obj = ObjectiveMode::kMinPerturbation) {
+  RemapModelSpec spec(double st_target,
+                      ObjectiveMode obj = ObjectiveMode::kMinPerturbation) {
     RemapModelSpec s;
     s.design = &design;
     s.base = &base;
@@ -35,7 +36,12 @@ struct Fixture {
       for (int pe = 0; pe < design.fabric.num_pes(); ++pe) c.push_back(pe);
     s.st_target = st_target;
     s.objective = obj;
-    return build_remap_model(s);
+    return s;
+  }
+
+  RemapModel model(double st_target,
+                   ObjectiveMode obj = ObjectiveMode::kMinPerturbation) {
+    return build_remap_model(spec(st_target, obj));
   }
 };
 
@@ -70,15 +76,19 @@ TEST(TwoStep, NeverClaimsSuccessBelowSingleOpStress) {
 }
 
 TEST(TwoStep, LpOnlyProbesFeasibility) {
+  // The presearch's probe answers with the LP relaxation alone: no integer
+  // solve, so no floorplan.
   Fixture f(8, 4);
-  TwoStepOptions opts;
-  opts.lp_only = true;
-  const TwoStepResult feasible = solve_two_step(f.model(kDmuStress), opts);
+  ProbeSession feasible_session(f.spec(kDmuStress), {});
+  const TwoStepResult feasible = feasible_session.solve_lp(kDmuStress);
   EXPECT_EQ(feasible.status, milp::SolveStatus::kOptimal);
   EXPECT_TRUE(feasible.floorplan.op_to_pe.empty());
+  EXPECT_EQ(feasible.stats.dive_rounds, 0);
+  ProbeSession infeasible_session(f.spec(0.4 * kDmuStress), {});
   const TwoStepResult infeasible =
-      solve_two_step(f.model(0.4 * kDmuStress), opts);
+      infeasible_session.solve_lp(0.4 * kDmuStress);
   EXPECT_EQ(infeasible.status, milp::SolveStatus::kInfeasible);
+  EXPECT_GT(infeasible.stats.lp_iterations, 0);
 }
 
 TEST(TwoStep, TriviallyInfeasibleModelShortCircuits) {

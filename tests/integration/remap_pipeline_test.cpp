@@ -4,6 +4,8 @@
 
 #include "cgrra/stress.h"
 #include "core/remapper.h"
+#include "obs/event_log.h"
+#include "obs/postmortem.h"
 #include "timing/paths.h"
 #include "verify/certify.h"
 #include "workloads/suite.h"
@@ -20,6 +22,21 @@ workloads::GeneratedBenchmark make_bench(int contexts, int dim, double usage,
   spec.usage = usage;
   spec.seed = seed;
   return workloads::generate_benchmark(spec);
+}
+
+// One remap recorded into an in-memory event log; `report` gets the log's
+// post-mortem, the one carrier of the probe sessions' accounting.
+RemapResult logged_remap(const workloads::GeneratedBenchmark& bench,
+                         RemapOptions opts, obs::PostmortemReport* report) {
+  obs::EventLog log;
+  log.open_memory();
+  opts.solver.events = &log;
+  const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
+  log.close();
+  std::string error;
+  EXPECT_TRUE(obs::analyze_events(log.memory_contents(), report, &error))
+      << error;
+  return r;
 }
 
 void check_invariants(const workloads::GeneratedBenchmark& bench,
@@ -163,8 +180,8 @@ TEST(RemapPipeline, ReportsStepOneBoundBelowFinalTarget) {
 }
 
 TEST(RemapPipeline, WarmProbesMatchColdPipeline) {
-  // The full pipeline with incremental warm-started probes against the
-  // forced-cold escape hatch: both must pass certification and every paper
+  // The full pipeline with incremental warm-started probes against
+  // forced-cold sessions: both must pass certification and every paper
   // invariant; the LP presearch takes identical probe sequences, so the
   // entry point of the Delta loop is the same and the two runs land on the
   // same floorplan.
@@ -173,12 +190,12 @@ TEST(RemapPipeline, WarmProbesMatchColdPipeline) {
     RemapOptions warm_opts;
     warm_opts.verify.enabled = true;
     warm_opts.warm_probes = true;
-    const RemapResult warm =
-        aging_aware_remap(bench.design, bench.baseline, warm_opts);
+    obs::PostmortemReport warm_log;
+    const RemapResult warm = logged_remap(bench, warm_opts, &warm_log);
     RemapOptions cold_opts = warm_opts;
     cold_opts.warm_probes = false;
-    const RemapResult cold =
-        aging_aware_remap(bench.design, bench.baseline, cold_opts);
+    obs::PostmortemReport cold_log;
+    const RemapResult cold = logged_remap(bench, cold_opts, &cold_log);
 
     EXPECT_TRUE(warm.certified) << warm.note;
     EXPECT_TRUE(cold.certified) << cold.note;
@@ -191,12 +208,14 @@ TEST(RemapPipeline, WarmProbesMatchColdPipeline) {
     EXPECT_NEAR(warm.st_max_after, cold.st_max_after,
                 0.05 * bench.design.num_contexts)
         << seed;
-    // Cold runs never chain bases; the warm run must actually have chained
-    // one somewhere (the presearch or the Delta loop).
-    EXPECT_EQ(cold.probe_warm_hits, 0) << seed;
-    EXPECT_EQ(cold.probe_basis_fallbacks, 0) << seed;
-    EXPECT_GT(cold.probe_model_rebuilds, 0) << seed;
-    EXPECT_GT(warm.probe_warm_hits, 0) << seed;
+    // Cold probes rebuild every time and never chain bases; the warm run
+    // must actually have chained one somewhere (the presearch or the Delta
+    // loop).
+    EXPECT_EQ(cold_log.probe_warm_hits, 0) << seed;
+    EXPECT_EQ(cold_log.probe_fallbacks, 0) << seed;
+    EXPECT_GT(cold_log.probe_rebuilds, 0) << seed;
+    EXPECT_EQ(cold_log.probe_rebuilds, cold_log.probes) << seed;
+    EXPECT_GT(warm_log.probe_warm_hits, 0) << seed;
   }
 }
 
@@ -204,12 +223,14 @@ TEST(RemapPipeline, WarmProbesAccountingIsConsistent) {
   const auto bench = make_bench(8, 4, 0.5, 13);
   RemapOptions opts;
   opts.warm_probes = true;
-  const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
-  // Every session builds at least once, and chained solves are classified
-  // as either a warm hit or a fallback — never silently dropped.
-  EXPECT_GT(r.probe_model_rebuilds, 0);
-  EXPECT_GE(r.probe_warm_hits, 0);
-  EXPECT_GE(r.probe_basis_fallbacks, 0);
+  obs::PostmortemReport log;
+  logged_remap(bench, opts, &log);
+  // Every session builds at least once, and each probe is at most one of a
+  // rebuild, a warm hit or a fallback: a rebuild drops the chained basis,
+  // and a chained solve is classified as a hit or a fallback, never both.
+  EXPECT_GT(log.probe_rebuilds, 0);
+  EXPECT_LE(log.probe_warm_hits + log.probe_fallbacks + log.probe_rebuilds,
+            log.probes);
 }
 
 }  // namespace

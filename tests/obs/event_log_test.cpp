@@ -156,8 +156,9 @@ TEST(EventLog, PerThreadOrderIsPreserved) {
     const long tid = rec.int_or("tid", -1);
     const long i = rec.int_or("i", -1);
     const auto it = last_seen.find(tid);
-    if (it != last_seen.end())
+    if (it != last_seen.end()) {
       EXPECT_GT(i, it->second) << "tid " << tid << " reordered";
+    }
     last_seen[tid] = i;
   }
   EXPECT_EQ(total, static_cast<long>(kThreads) * kPerThread);

@@ -214,11 +214,6 @@ TEST(Postmortem, RemapRunReconstructsPipeline) {
   EXPECT_GE(report.st_searches, 1);
   EXPECT_GT(report.lp_solves, 0);
   EXPECT_GT(report.probes, 0);
-  // The summed probe.solve flags equal the remap's session totals.
-  EXPECT_EQ(report.probe_warm_hits, static_cast<long>(res.probe_warm_hits));
-  EXPECT_EQ(report.probe_fallbacks,
-            static_cast<long>(res.probe_basis_fallbacks));
-  EXPECT_EQ(report.probe_rebuilds, static_cast<long>(res.probe_model_rebuilds));
   // The probe chain reconstructs in emission order with sane timestamps.
   ASSERT_EQ(static_cast<long>(report.probe_chain.size()), report.probes);
   double last_t = -1.0;

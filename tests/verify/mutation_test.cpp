@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cgrra/stress.h"
+#include "core/probe_session.h"
 #include "core/two_step.h"
 #include "verify/certify.h"
 
@@ -29,7 +30,7 @@ struct Fixture {
     }
   }
 
-  core::RemapModel model(double st_target) const {
+  core::RemapModelSpec spec(double st_target) const {
     core::RemapModelSpec s;
     s.design = &design;
     s.base = &base;
@@ -38,7 +39,11 @@ struct Fixture {
     for (auto& c : s.candidates)
       for (int pe = 0; pe < design.fabric.num_pes(); ++pe) c.push_back(pe);
     s.st_target = st_target;
-    return core::build_remap_model(s);
+    return s;
+  }
+
+  core::RemapModel model(double st_target) const {
+    return core::build_remap_model(spec(st_target));
   }
 };
 
@@ -126,10 +131,9 @@ TEST(Mutation, CertifierRejectionDowngradesTwoStepStatus) {
   EXPECT_NE(bad.status, milp::SolveStatus::kOptimal);
   EXPECT_FALSE(bad.certified);
 
-  core::TwoStepOptions lp;
-  lp.verify.enabled = true;
-  lp.lp_only = true;
-  const core::TwoStepResult relaxed = solve_two_step(f.model(kDmuStress), lp);
+  // The LP probe certifies its relaxed point the same way.
+  core::ProbeSession session(f.spec(kDmuStress), opts);
+  const core::TwoStepResult relaxed = session.solve_lp(kDmuStress);
   EXPECT_EQ(relaxed.status, milp::SolveStatus::kOptimal);
   EXPECT_TRUE(relaxed.certified);
 }

@@ -56,8 +56,7 @@ int usage(int code = 2) {
                "  remap  --design FILE --floorplan FILE --out FILE"
                " [--mode freeze|rotate] [--margin F] [--seed S]\n"
                "         [--strategy dive|fix-once|ilp|ls|portfolio]"
-               " [--ls-seed S] [--ls-iters N] [--threads N]"
-               " [--warm-probes on|off]\n"
+               " [--ls-seed S] [--ls-iters N] [--threads N]\n"
                "         [--verbose]  (end with the run's post-mortem, as"
                " `analyze` prints it)\n"
                "  report --design FILE --floorplan FILE [--compare FILE]\n"
@@ -383,20 +382,6 @@ int cmd_remap(const Args& args) {
     return 1;
   }
   opts.strategy = sinfo->strategy;
-  // Escape hatch for the incremental probe sessions: `--warm-probes off`
-  // forces the legacy full-rebuild cold solve per attempt. Results are
-  // identical either way; off trades speed for a simpler solve path when
-  // triaging a suspect run.
-  const std::string warm = args.get_or("warm-probes", "on");
-  if (warm == "on") {
-    opts.warm_probes = true;
-  } else if (warm == "off") {
-    opts.warm_probes = false;
-  } else {
-    std::fprintf(stderr, "unknown --warm-probes '%s' (on|off)\n",
-                 warm.c_str());
-    return 1;
-  }
 
   std::string error;
   const auto design = load_design(args, &error);
@@ -783,7 +768,7 @@ int main(int argc, char** argv) {
     } else if (cmd == "remap") {
       args.check_allowed({"design", "floorplan", "out", "mode", "margin",
                           "seed", "strategy", "ls-seed", "ls-iters",
-                          "threads", "warm-probes", "verbose"});
+                          "threads", "verbose"});
     } else if (cmd == "report") {
       args.check_allowed({"design", "floorplan", "compare"});
     } else if (cmd == "lint") {

@@ -89,8 +89,11 @@ TwoStepResult ProbeSession::lp_probe() {
                      : lp.status;
     return res;
   }
-  // The binary-searched presearch trusts this verdict, so the LP point is
-  // independently certified (integrality waived).
+  // With solver_.verify on, the LP point is independently certified
+  // (integrality waived). The remapper's presearch opens its session with
+  // RemapOptions::solver as given, whose verify is off by default, so its
+  // verdicts are uncertified; the attempts that follow certify what they
+  // accept.
   res.status = milp::SolveStatus::kOptimal;
   if (solver_.verify.enabled) {
     const verify::Certificate cert =

@@ -1,7 +1,5 @@
 #include "milp/branch_and_bound.h"
 
-#include "milp/presolve.h"
-
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -84,36 +82,6 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     if (k == 0) k = static_cast<int>(std::thread::hardware_concurrency());
     return std::max(1, k);
   }();
-
-  if (opts.presolve) {
-    PresolveResult pre = presolve(model);
-    if (pre.status == SolveStatus::kInfeasible) {
-      MipResult res;
-      res.status = SolveStatus::kInfeasible;
-      res.seconds = now_seconds() - t_start;
-      res.threads_used = threads;
-      res.nodes_per_thread.assign(static_cast<size_t>(threads), 0);
-      return res;
-    }
-    MipOptions inner = opts;
-    inner.presolve = false;
-    MipResult r = solve_milp(pre.reduced, inner);
-    // Lift the incumbent and re-account the objective/bound for the
-    // eliminated variables' constant contribution.
-    double fixed_const = 0.0;
-    for (int j = 0; j < model.num_vars(); ++j) {
-      if (pre.var_map[static_cast<size_t>(j)] < 0)
-        fixed_const += model.var(j).obj *
-                       pre.fixed_value[static_cast<size_t>(j)];
-    }
-    if (r.has_solution()) {
-      r.x = pre.postsolve(r.x);
-      r.obj = model.objective_value(r.x);
-    }
-    r.best_bound += fixed_const;
-    r.seconds = now_seconds() - t_start;
-    return r;
-  }
 
   // Solve-event log: MipOptions::events enables the whole record family.
   obs::EventLog* const events = opts.events;
@@ -394,15 +362,11 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     sh.cv.notify_all();
   };
 
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(threads) - 1);
-    for (int t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-    worker(0);
-    for (std::thread& t : pool) t.join();
-  }
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(threads) - 1);
+  for (int t = 1; t < threads; ++t) pool.emplace_back(worker, t);
+  worker(0);
+  for (std::thread& t : pool) t.join();
 
   // --- Assemble the result. The workers are joined, so the lock is
   // uncontended; holding it anyway keeps the guarded-field accesses below

@@ -25,8 +25,6 @@ struct MipOptions {
   // Stop as soon as any integer-feasible point is found (for pure
   // feasibility models such as the paper's "ObjFunc: Null" formulation).
   bool stop_at_first_incumbent = false;
-  // Run the exact presolve reductions (milp/presolve.h) before the search.
-  bool presolve = true;
   // Worker threads for the branch & bound search. 0 picks
   // std::thread::hardware_concurrency(); 1 runs the search inline on the
   // calling thread (no workers are spawned). Negative values are a

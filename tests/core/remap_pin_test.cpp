@@ -100,7 +100,7 @@ TEST(RemapPins, FixOnceB19FreezeOneThread) {
   expect_pinned(run(table1_spec("B19"), RemapMode::kFreeze,
                     SolveStrategy::kExactFixOnce),
                 {0x3fe3f669fbe76c8cULL, 0x3fff7b3e71fcd60dULL,
-                 0xafe776475e31a80fULL, 1});
+                 0xad3eeb2d3ad4972fULL, 1});
 }
 
 TEST(RemapPins, LocalSearchB13Rotate) {

@@ -49,6 +49,31 @@ TEST(BranchAndBound, InfeasibleBoundsRejectedEarly) {
   EXPECT_EQ(solve_milp(m).status, SolveStatus::kInfeasible);
 }
 
+TEST(BranchAndBound, RowBeyondMaxActivityIsInfeasible) {
+  Model m;
+  const int x = m.add_binary();
+  const int y = m.add_binary();
+  m.add_ge({{x, 1.0}, {y, 1.0}}, 3.0);  // max activity is 2
+  EXPECT_EQ(solve_milp(m).status, SolveStatus::kInfeasible);
+}
+
+TEST(BranchAndBound, FixedContinuousVariableCountsInObjective) {
+  // A continuous variable with lb == ub adds its constant 10 * 2 = 20 to
+  // both the incumbent and the bound.
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  const int fixed = m.add_continuous(2, 2, 10.0);
+  const int x = m.add_binary(3.0);
+  const int y = m.add_binary(4.0);
+  m.add_le({{x, 1.0}, {y, 1.0}, {fixed, 1.0}}, 3.0);  // x + y <= 1
+  const MipResult r = solve_milp(m);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(r.obj, 24.0, 1e-9);
+  EXPECT_NEAR(r.best_bound, 24.0, 1e-6);
+  EXPECT_NEAR(r.x[static_cast<size_t>(fixed)], 2.0, 1e-9);
+  EXPECT_LE(m.max_violation(r.x, /*check_integrality=*/true), 1e-6);
+}
+
 TEST(BranchAndBound, MixedIntegerContinuous) {
   // max x + y, x integer <= 2.5, y continuous <= 0.5: obj = 2 + 0.5.
   Model m;

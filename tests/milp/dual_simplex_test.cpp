@@ -220,7 +220,6 @@ TEST(DualSimplexBnb, ChildSolvesUseDualUnderAutoWarm) {
   m.add_le(std::move(row), 11.0);
   MipOptions opts;
   opts.num_threads = 1;
-  opts.presolve = false;  // keep the fractional root intact
   const MipResult r = solve_milp(m, opts);
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   if (r.nodes > 1) {

@@ -2,7 +2,9 @@
 // brute force / first principles on randomized instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "milp/branch_and_bound.h"
 #include "milp/model.h"
@@ -41,6 +43,68 @@ Model random_lp(Rng& rng, int max_vars, int max_rows, bool binaries) {
   return m;
 }
 
+// Binaries mixed with continuous variables fixed by lb == ub, the shape
+// whose constant terms B&B must carry through every node LP.
+Model random_fixed_var_mip(Rng& rng) {
+  Model m;
+  const int nv = 3 + static_cast<int>(rng.next_below(6));
+  for (int j = 0; j < nv; ++j) {
+    if (rng.next_bool(0.3)) {
+      const double v = rng.next_int(0, 3);
+      m.add_continuous(v, v, rng.next_double() * 4 - 2);
+    } else {
+      m.add_binary(rng.next_double() * 4 - 2);
+    }
+  }
+  const int nc = 1 + static_cast<int>(rng.next_below(5));
+  for (int r = 0; r < nc; ++r) {
+    std::vector<std::pair<int, double>> terms;
+    for (int j = 0; j < nv; ++j)
+      if (rng.next_bool(0.6)) terms.emplace_back(j, rng.next_double() * 4 - 2);
+    if (terms.empty()) terms.emplace_back(0, 1.0);
+    m.add_le(std::move(terms), rng.next_double() * 5);
+  }
+  return m;
+}
+
+// Solves `m` with branch & bound and compares it against enumeration of
+// every 0/1 point of its binaries (continuous variables must be fixed).
+void expect_matches_brute_force(const Model& m) {
+  const int nv = m.num_vars();
+  ASSERT_LE(nv, 10);
+  std::vector<int> bins;
+  std::vector<double> x(static_cast<size_t>(nv), 0.0);
+  for (int j = 0; j < nv; ++j) {
+    if (m.var(j).type == VarType::kContinuous) {
+      ASSERT_EQ(m.var(j).lb, m.var(j).ub);
+      x[static_cast<size_t>(j)] = m.var(j).lb;
+    } else {
+      bins.push_back(j);
+    }
+  }
+
+  const double sign = m.sense() == Sense::kMinimize ? 1.0 : -1.0;
+  double best = kInf;
+  bool any = false;
+  for (int mask = 0; mask < (1 << bins.size()); ++mask) {
+    for (size_t b = 0; b < bins.size(); ++b)
+      x[static_cast<size_t>(bins[b])] = mask >> b & 1 ? 1.0 : 0.0;
+    if (m.max_violation(x) > 1e-9) continue;
+    any = true;
+    best = std::min(best, sign * m.objective_value(x));
+  }
+
+  const MipResult r = solve_milp(m);
+  if (!any) {
+    EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+    return;
+  }
+  ASSERT_EQ(r.status, SolveStatus::kOptimal)
+      << "expected optimal, got " << to_string(r.status);
+  EXPECT_NEAR(sign * r.obj, best, 1e-6);
+  EXPECT_LE(m.max_violation(r.x, /*check_integrality=*/true), 1e-6);
+}
+
 class RandomLpProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomLpProperty, OptimalSolutionsAreFeasible) {
@@ -72,32 +136,7 @@ TEST_P(RandomLpProperty, ScalingObjectiveScalesOptimum) {
 
 TEST_P(RandomLpProperty, MilpMatchesBruteForce) {
   Rng rng(9000 + static_cast<std::uint64_t>(GetParam()));
-  const Model m = random_lp(rng, 8, 6, true);
-  const int nv = m.num_vars();
-  ASSERT_LE(nv, 10);
-
-  // Brute force over all 0/1 points.
-  const double sign = m.sense() == Sense::kMinimize ? 1.0 : -1.0;
-  double best = kInf;
-  bool any = false;
-  for (int mask = 0; mask < (1 << nv); ++mask) {
-    std::vector<double> x(static_cast<size_t>(nv), 0.0);
-    for (int j = 0; j < nv; ++j)
-      if (mask >> j & 1) x[static_cast<size_t>(j)] = 1.0;
-    if (m.max_violation(x) > 1e-9) continue;
-    any = true;
-    best = std::min(best, sign * m.objective_value(x));
-  }
-
-  const MipResult r = solve_milp(m);
-  if (!any) {
-    EXPECT_EQ(r.status, SolveStatus::kInfeasible);
-    return;
-  }
-  ASSERT_EQ(r.status, SolveStatus::kOptimal)
-      << "expected optimal, got " << to_string(r.status);
-  EXPECT_NEAR(sign * r.obj, best, 1e-6);
-  EXPECT_LE(m.max_violation(r.x, /*check_integrality=*/true), 1e-6);
+  expect_matches_brute_force(random_lp(rng, 8, 6, true));
 }
 
 TEST_P(RandomLpProperty, LpRelaxationBoundsMilp) {
@@ -117,6 +156,15 @@ TEST_P(RandomLpProperty, LpRelaxationBoundsMilp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpProperty, ::testing::Range(0, 40));
+
+class FixedVarMilpProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(FixedVarMilpProperty, MatchesBruteForce) {
+  Rng rng(4242 + static_cast<std::uint64_t>(GetParam()));
+  expect_matches_brute_force(random_fixed_var_mip(rng));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FixedVarMilpProperty, ::testing::Range(0, 30));
 
 }  // namespace
 }  // namespace cgraf::milp

@@ -1,14 +1,17 @@
 // Ablation of Step 2.1 (critical-path rotation).
 //
-// Table I already shows Rotate >= Freeze; this bench isolates *why* by
-// comparing, on the high-usage benchmarks (where frozen critical paths bite
-// hardest):
+// Table I has Rotate below Freeze on six rows (EXPERIMENTS.md). This bench
+// isolates the rotation step on the high-usage benchmarks up to 6x6, where
+// frozen critical paths bite hardest, with three remaps each:
 //   - Freeze        : no rotation (orientation fixed to identity),
-//   - Rotate(1)     : a single random diversity-rule draw (no restarts),
-//   - Rotate(12)    : the default overlap-minimizing multi-restart draw.
-// It also reports the stress-weighted frozen-PE overlap that the rotation
-// step minimizes, demonstrating the mechanism (lower overlap -> lower
-// reachable st_target -> higher MTTF gain).
+//   - Rotate(1)     : rotation_restarts = 1, a plan scored over the
+//                     identity and one random diversity-rule draw,
+//   - Rotate(12)    : the default, the identity and 12 draws.
+// On C4 rows the planner enumerates all 8^4 plans whatever the restart
+// count, so there Rotate(1) and Rotate(12) are the same run. The table also
+// reports the stress-weighted frozen-PE overlap that the planner minimizes,
+// un-rotated and for a 12-restart plan, to show whether a lower overlap
+// buys a higher gain.
 #include <cstdio>
 
 #include "core/report.h"
@@ -59,7 +62,6 @@ int main() {
     core::RemapOptions rot1;
     rot1.mode = core::RemapMode::kRotate;
     rot1.rotation_restarts = 1;
-    rot1.rotation_retries = 0;
     const auto r_rot1 = aging_aware_remap(bench.design, bench.baseline, rot1);
     core::RemapOptions rot12;
     rot12.mode = core::RemapMode::kRotate;

@@ -100,8 +100,13 @@ void run_gap_case(const workloads::BenchmarkSpec& bspec) {
       .field("gap", gap)
       .field("ls_moves_examined", ls_stats.moves_examined)
       .field("ls_moves_accepted", ls_stats.moves_accepted)
+      .field("ls_shifts_accepted", ls_stats.shifts_accepted)
+      .field("ls_swaps_accepted", ls_stats.swaps_accepted)
+      .field("ls_restarts_run", ls_stats.restarts_run)
       .field("ls_oracle_calls", ls_stats.oracle_calls)
+      .field("ls_oracle_rejections", ls_stats.oracle_rejections)
       .field("ls_start_repairs", ls_stats.start_repairs)
+      .field("ls_seconds", ls_stats.seconds)
       .field("wall_seconds", now_seconds() - t0)
       .field("threads", 1L);
   append_meta_fields(w);

@@ -11,7 +11,7 @@
 //                       matches the predicted delta      (else abort)
 //   after any move  =>  structural certificate stays green: one op per PE
 //                       per context, frozen ops pinned   (else abort)
-//   full search     =>  a feasible result is certified and re-certifies
+//   full search     =>  a feasible result re-certifies
 //                       against the complete spec        (else abort)
 //   infeasible run  =>  the base binding is returned untouched
 //
@@ -175,14 +175,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       std::abort();  // a legal move broke exclusivity or moved a frozen op
   }
 
-  // The full driver on the same spec: a feasible result must carry a green
-  // certificate and re-certify against the complete spec independently.
+  // The full driver on the same spec: a feasible result must re-certify
+  // against the complete spec independently.
   core::LocalSearchOptions opts;
   opts.seed = static_cast<std::uint64_t>(r.take()) + 1;
   opts.max_iters = 300;
   opts.restarts = 2;
   const core::LocalSearchResult result = core::local_search_remap(spec, opts);
-  if (result.feasible != result.certified) std::abort();
   if (result.feasible) {
     verify::FloorplanSpec full = structural;
     full.st_target = spec.st_target;

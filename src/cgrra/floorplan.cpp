@@ -70,10 +70,4 @@ bool is_valid(const Design& design, const Floorplan& fp, std::string* why) {
   return true;
 }
 
-int distinct_pes_used(const Design& design, const Floorplan& fp) {
-  std::set<int> pes;
-  for (const Operation& op : design.ops) pes.insert(fp.pe_of(op.id));
-  return static_cast<int>(pes.size());
-}
-
 }  // namespace cgraf

@@ -24,8 +24,4 @@ struct Floorplan {
 bool is_valid(const Design& design, const Floorplan& fp,
               std::string* why = nullptr);
 
-// Number of distinct PEs used in any context (Table I's "PE #" counts the
-// total op count; this helper reports distinct fabric PEs touched).
-int distinct_pes_used(const Design& design, const Floorplan& fp);
-
 }  // namespace cgraf

@@ -19,13 +19,6 @@ double StressMap::avg_accumulated() const {
   return s / static_cast<double>(accumulated.size());
 }
 
-int StressMap::argmax() const {
-  CGRAF_ASSERT(!accumulated.empty());
-  return static_cast<int>(std::max_element(accumulated.begin(),
-                                           accumulated.end()) -
-                          accumulated.begin());
-}
-
 StressMap compute_stress(const Design& design, const Floorplan& fp) {
   CGRAF_ASSERT(fp.op_to_pe.size() == design.ops.size());
   const int n_pes = design.fabric.num_pes();

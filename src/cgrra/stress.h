@@ -19,7 +19,6 @@ struct StressMap {
   // Mean over *all* fabric PEs (the paper's ST_low, which Step 1 returns
   // as its target), not just the used ones.
   double avg_accumulated() const;
-  int argmax() const;
 };
 
 StressMap compute_stress(const Design& design, const Floorplan& fp);

@@ -448,7 +448,6 @@ LocalSearchResult local_search_remap(const RemapModelSpec& spec,
     have_best = true;
     best_score = cur_score;
     res.feasible = true;
-    res.certified = true;
     res.floorplan = state.floorplan();
     res.score = cur_score;
     res.max_stress = state.max_stress();

@@ -64,12 +64,9 @@ struct LocalSearchStats {
 };
 
 struct LocalSearchResult {
-  // A binding meeting every constraint of the spec was found (and the
-  // certifier agreed).
+  // A binding meeting every constraint of the spec was found, and the
+  // certify_floorplan oracle, which gates every incumbent, agreed.
   bool feasible = false;
-  // The shipped floorplan carries a green certify_floorplan certificate.
-  // Always equals `feasible`: the oracle gates every incumbent.
-  bool certified = false;
   Floorplan floorplan;  // best certified binding; the base when !feasible
   double score = 0.0;       // internal penalty score of `floorplan`
   double max_stress = 0.0;  // max per-PE accumulated stress of `floorplan`

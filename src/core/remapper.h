@@ -48,9 +48,10 @@ struct RemapOptions {
   // union).
   int max_critical_paths_per_context = 8;
 
-  // Step 2.1 rotation controls.
+  // Step 2.1 (Rotate) plans one rotation: the lowest-overlap of the
+  // identity and this many diversity-rule draws (all 8^C plans when C <= 4;
+  // core/rotation.h).
   int rotation_restarts = 12;
-  int rotation_retries = 2;  // re-draw rotations if the plan can't close
 
   // Incremental probe sessions (core/probe_session.h) for the LP presearch
   // and the Delta-relaxation retry loop: the remap model is built once per

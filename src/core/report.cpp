@@ -184,18 +184,4 @@ std::string solver_stats_json(const TwoStepStats& stats) {
   return w.str();
 }
 
-std::string ls_stats_json(const LocalSearchStats& stats) {
-  // Object-body fragment like solver_stats_json; embed as `"ls":{%s}`.
-  obs::JsonWriter w;
-  w.field("moves_examined", stats.moves_examined)
-      .field("moves_accepted", stats.moves_accepted)
-      .field("shifts_accepted", stats.shifts_accepted)
-      .field("swaps_accepted", stats.swaps_accepted)
-      .field("restarts_run", stats.restarts_run)
-      .field("oracle_calls", stats.oracle_calls)
-      .field("oracle_rejections", stats.oracle_rejections)
-      .field("seconds", stats.seconds);
-  return w.str();
-}
-
 }  // namespace cgraf::core

@@ -40,8 +40,4 @@ std::string format_solver_stats(const TwoStepStats& stats);
 // it in their one-line-per-case JSON records.
 std::string solver_stats_json(const TwoStepStats& stats);
 
-// Local-search counters as the same kind of flat JSON object fragment —
-// every LocalSearchStats field appears (the CL008 lint gate checks this).
-std::string ls_stats_json(const LocalSearchStats& stats);
-
 }  // namespace cgraf::core

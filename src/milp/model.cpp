@@ -62,12 +62,6 @@ void Model::relax_var(int var) {
   vars_[static_cast<size_t>(var)].type = VarType::kContinuous;
 }
 
-bool Model::has_integers() const {
-  return std::any_of(vars_.begin(), vars_.end(), [](const Variable& v) {
-    return v.type != VarType::kContinuous;
-  });
-}
-
 double Model::max_violation(const std::vector<double>& x,
                             bool check_integrality) const {
   CGRAF_ASSERT(x.size() == vars_.size());

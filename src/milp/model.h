@@ -92,8 +92,6 @@ class Model {
   const std::vector<Variable>& vars() const { return vars_; }
   const std::vector<Constraint>& constraints() const { return cons_; }
 
-  bool has_integers() const;
-
   // Evaluates all constraints and bounds at `x`; returns the maximum
   // violation (0 means feasible). Integrality is checked when
   // `check_integrality` is set.

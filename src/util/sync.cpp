@@ -138,12 +138,6 @@ MutexStats Mutex::stats() const {
           wait_seconds_.load(std::memory_order_relaxed)};
 }
 
-void Mutex::reset_stats() {
-  acquisitions_.store(0, std::memory_order_relaxed);
-  contended_.store(0, std::memory_order_relaxed);
-  wait_seconds_.store(0.0, std::memory_order_relaxed);
-}
-
 void CondVar::wait(Mutex& mu) {
   // The wait releases and reacquires mu.raw_ internally; mirror that on the
   // held-lock stack so the detector's view stays consistent. The reacquire
@@ -171,13 +165,6 @@ std::map<std::string, MutexStats> sync_mutex_stats() {
   std::map<std::string, MutexStats> out = reg.retired;
   for (const Mutex* m : reg.live) accumulate(out[m->name()], m->stats());
   return out;
-}
-
-void reset_sync_mutex_stats() {
-  SyncRegistry& reg = sync_registry();
-  std::lock_guard<std::mutex> lk(reg.mu);
-  reg.retired.clear();
-  for (Mutex* m : reg.live) m->reset_stats();
 }
 
 }  // namespace cgraf

@@ -131,7 +131,6 @@ class CGRAF_CAPABILITY("mutex") Mutex {
   const char* name() const { return name_; }
   int rank() const { return rank_; }
   MutexStats stats() const;
-  void reset_stats();
 
  private:
   friend class CondVar;
@@ -207,7 +206,5 @@ bool deadlock_detection_enabled();
 // accumulated totals of destroyed ones (so short-lived mutexes like the
 // branch & bound's per-solve lock still show up after the solve).
 std::map<std::string, MutexStats> sync_mutex_stats();
-// Zeroes the aggregates: drops retired totals and resets live counters.
-void reset_sync_mutex_stats();
 
 }  // namespace cgraf

@@ -73,11 +73,5 @@ TEST(Floorplan, ContextOutOfRangeRejected) {
   EXPECT_FALSE(is_valid(d, Floorplan{{0, 1, 0}}));
 }
 
-TEST(Floorplan, DistinctPesUsed) {
-  const Design d = small_design();
-  EXPECT_EQ(distinct_pes_used(d, Floorplan{{0, 1, 0}}), 2);
-  EXPECT_EQ(distinct_pes_used(d, Floorplan{{0, 1, 2}}), 3);
-}
-
 }  // namespace
 }  // namespace cgraf

@@ -37,14 +37,13 @@ TEST(Stress, PerContextAndAccumulated) {
   EXPECT_NEAR(map.accumulated[2], 0.0, 1e-12);
 }
 
-TEST(Stress, MaxAvgArgmax) {
+TEST(Stress, MaxAndAvg) {
   const Design d = two_context_design();
   const Floorplan fp{{0, 1, 0}};
   const StressMap map = compute_stress(d, fp);
   const double alu = 0.87 / 5.0;
   const double dmu = 3.14 / 5.0;
   EXPECT_NEAR(map.max_accumulated(), dmu, 1e-12);
-  EXPECT_EQ(map.argmax(), 1);
   // Average is over all 4 fabric PEs (the paper's ST_low).
   EXPECT_NEAR(map.avg_accumulated(), (2 * alu + dmu) / 4.0, 1e-12);
 }

@@ -87,13 +87,46 @@ TEST(RemapPins, DiveB19Rotate) {
                  0x7937039260395ecdULL, 5});
 }
 
-// Rotate's round 0 presearches the rotated and the identity geometry and
-// keeps the lower LP target; the Delta loop then refines by bisection.
+// Rotate presearches its one rotation plan and the identity geometry and
+// keeps the lower LP target, here the rotation's; the Delta loop then
+// refines by bisection.
 TEST(RemapPins, DiveB11Rotate) {
   expect_pinned(run(table1_spec("B11"), RemapMode::kRotate,
                     SolveStrategy::kExactDive),
                 {0x3fe94ea3245c81c6ULL, 0x3ffca3ac4d4c6af1ULL,
                  0x232fcd2c57696fc8ULL, 6});
+}
+
+// The other branch of that choice: under default options B13's rotation
+// plan moves frozen ops, but the identity geometry's LP target is lower, so
+// Rotate runs Freeze's Delta loop and returns Freeze's floorplan.
+TEST(RemapPins, DiveB13RotateKeepsIdentityGeometry) {
+  const workloads::GeneratedBenchmark bench =
+      workloads::generate_benchmark(table1_spec("B13"));
+  RemapOptions o;
+  o.solver.mip.num_threads = 1;
+  o.st_search.solver.mip.num_threads = 1;
+
+  const timing::CombGraph graph(bench.design);
+  const PathSets paths = derive_path_sets(graph, bench.baseline, o);
+  RotationOptions ropts;
+  ropts.restarts = o.rotation_restarts;
+  ropts.seed = o.seed + 0x100;  // the remapper's rotation seed
+  const RotationResult plan = rotate_critical_paths(
+      bench.design, bench.baseline, paths.frozen_by_context, ropts);
+  ASSERT_TRUE(plan.ok);
+  EXPECT_NE(plan.rotated_base.op_to_pe, bench.baseline.op_to_pe);
+
+  o.mode = RemapMode::kFreeze;
+  const RemapResult freeze = aging_aware_remap(bench.design, bench.baseline, o);
+  o.mode = RemapMode::kRotate;
+  const RemapResult rotate = aging_aware_remap(bench.design, bench.baseline, o);
+  ASSERT_TRUE(freeze.improved);
+  EXPECT_EQ(floorplan_hash(rotate.floorplan), floorplan_hash(freeze.floorplan));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rotate.st_target_final),
+            std::bit_cast<std::uint64_t>(freeze.st_target_final));
+  EXPECT_EQ(rotate.outer_iterations, freeze.outer_iterations);
+  EXPECT_EQ(freeze.outer_iterations, 5);
 }
 
 TEST(RemapPins, FixOnceB19FreezeOneThread) {
@@ -118,7 +151,7 @@ TEST(RemapPins, LocalSearchB25Variant2RotateKeepsBaseline) {
   spec.seed = 0x83676b41e6cf0a62ULL;
   expect_pinned(run(spec, RemapMode::kRotate, SolveStrategy::kLocalSearch),
                 {0x400b5afb7f067d2dULL, 0x3ff0000000000000ULL,
-                 0xaf34eea9144087caULL, 20});
+                 0xaf34eea9144087caULL, 9});
 }
 
 // The portfolio runs the local search first and the dive only on attempts

@@ -43,9 +43,8 @@ TEST(Model, BoundAndObjectiveUpdates) {
   EXPECT_DOUBLE_EQ(m.var(x).lb, 1.0);
   m.set_obj(x, -3.0);
   EXPECT_DOUBLE_EQ(m.var(x).obj, -3.0);
-  EXPECT_TRUE(m.has_integers());
   m.relax_var(x);
-  EXPECT_FALSE(m.has_integers());
+  EXPECT_EQ(m.var(x).type, VarType::kContinuous);
 }
 
 TEST(Model, MaxViolationMeasuresBoundsRowsIntegrality) {
